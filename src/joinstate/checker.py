@@ -26,6 +26,7 @@ from typing import Optional
 from . import types as ty
 from .core import (
     BUILTIN_OBJECTS,
+    CLOSURE_TAG,
     NUMBER_OBJ,
     SYSTEM,
     BinOp,
@@ -62,8 +63,6 @@ NUMBER_TYPE = ty.Star(
     ty.Msg("Pow", (ty.NUMBER, ty.NUMBER, ty.Msg("Reply", (ty.NUMBER,))))
 )
 BUILTIN_DECLS: dict[Name, TypeExpr] = {SYSTEM: SYSTEM_TYPE, NUMBER_OBJ: NUMBER_TYPE}
-
-CLOSURE_TAG = "CLOSURE"
 
 DIAGNOSTIC_CODES = (
     "ProtocolViolation",
@@ -119,7 +118,6 @@ class Report:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     objects: list[ObjectInfo] = field(default_factory=list)
     bounded_subtype_uses: list[dict] = field(default_factory=list)
-    resolved: dict[int, TypeExpr] = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -138,6 +136,14 @@ class Report:
 
 
 Env = dict[Name, TypeExpr]
+
+
+def closure_decl(base: TypeExpr, captured: tuple[TypeExpr, ...]) -> TypeExpr:
+    """A continuation's protocol: nothing, or its base protocol together
+    with one CLOSURE message carrying the captured names, if any."""
+    if captured:
+        base = ty.Prod((ty.Msg(CLOSURE_TAG, captured), base))
+    return normalize(ty.Sum((ty.ONE, base)))
 
 
 def _is_value_type(t: TypeExpr) -> bool:
@@ -421,8 +427,6 @@ class Checker:
                 self.stateless.add(p.name)
             for rule in p.rules:
                 self.check_rule(p.name, decl, rule, p.pos)
-        p.decl = decl
-        self.report.resolved[p.node_id] = decl
 
         patterns = [
             dict(Counter(m.tag for m in rule.pattern)) for rule in p.rules
@@ -459,44 +463,45 @@ class Checker:
             decl, usage, f"usage of {name}", pos, "ProtocolViolation"
         )
 
-    def check_rule(
-        self,
-        obj: Name,
-        t0: TypeExpr,
-        rule: Rule,
-        pos: Pos,
-        param_decls: Optional[dict[Name, TypeExpr]] = None,
-    ):
-        tags = Counter(m.tag for m in rule.pattern)
-        pretty = " & ".join(m.tag for m in rule.pattern)
-        slots = self.resolve_slots(t0, tags, f"rule {pretty} of {obj}", pos)
+    def bind_pattern(
+        self, decl: TypeExpr, pattern, what: str, pos: Pos
+    ) -> Optional[list[Name]]:
+        """Declare each variable of a join pattern at the argument type of
+        the message slot its tag refers to in decl; None (with a diagnostic)
+        when the slots or the arities do not fit."""
+        tags = Counter(m.tag for m in pattern)
+        slots = self.resolve_slots(decl, tags, what, pos)
         if slots is None:
-            return
+            return None
         params: list[Name] = []
-        for m in rule.pattern:
+        for m in pattern:
             slot = slots[m.tag]
             if len(m.params) != len(slot.args):
                 self.diag(
                     "AritySumError",
-                    f"rule {pretty} of {obj}: {m.tag} carries "
-                    f"{len(slot.args)} argument(s), pattern binds "
-                    f"{len(m.params)}",
+                    f"{what}: {m.tag} carries {len(slot.args)} argument(s), "
+                    f"pattern binds {len(m.params)}",
                     pos,
                 )
-                return
+                return None
             for param, t in zip(m.params, slot.args):
                 if not self.alg.usable(t):
                     self.diag(
                         "UnusableArg",
-                        f"rule {pretty} of {obj}: argument type {render(t)} "
-                        f"of {m.tag} has no valid configuration",
+                        f"{what}: argument type {render(t)} of {m.tag} has no "
+                        "valid configuration",
                         pos,
                     )
-                if param_decls and param in param_decls:
-                    self.decls[param] = normalize(param_decls[param])
-                else:
-                    self.decls[param] = normalize(t)
+                self.decls[param] = normalize(t)
                 params.append(param)
+        return params
+
+    def check_rule(self, obj: Name, t0: TypeExpr, rule: Rule, pos: Pos):
+        tags = Counter(m.tag for m in rule.pattern)
+        pretty = " & ".join(m.tag for m in rule.pattern)
+        params = self.bind_pattern(t0, rule.pattern, f"rule {pretty} of {obj}", pos)
+        if params is None:
+            return
 
         env, _deps = self.check_process(rule.body)
         for param in params:
@@ -594,31 +599,11 @@ class Checker:
                 source_decl = ty.ONE
             param_decls[param] = source_decl
 
-        tags = Counter(m.tag for m in reply_pattern)
-        slots = self.resolve_slots(base, tags, f"reply to {p.name}", p.pos)
-        if slots is None:
+        reply_params = self.bind_pattern(
+            base, reply_pattern, f"reply to {p.name}", p.pos
+        )
+        if reply_params is None:
             return ty.ONE
-        reply_params: list[Name] = []
-        for m in reply_pattern:
-            slot = slots[m.tag]
-            if len(m.params) != len(slot.args):
-                self.diag(
-                    "AritySumError",
-                    f"reply to {p.name}: {m.tag} carries {len(slot.args)} "
-                    f"argument(s), pattern binds {len(m.params)}",
-                    p.pos,
-                )
-                return ty.ONE
-            for param, t in zip(m.params, slot.args):
-                if not self.alg.usable(t):
-                    self.diag(
-                        "UnusableArg",
-                        f"reply to {p.name}: argument type {render(t)} of "
-                        f"{m.tag} has no valid configuration",
-                        p.pos,
-                    )
-                self.decls[param] = normalize(t)
-                reply_params.append(param)
         for param in closure_params:
             self.decls[param] = param_decls[param]
 
@@ -637,19 +622,7 @@ class Checker:
         for param in reply_params:
             self.check_obligation(param, self.decls[param], env, p.pos)
             env.pop(param, None)
-        if spec.captured:
-            decl = normalize(
-                ty.Sum(
-                    (
-                        ty.ONE,
-                        ty.Prod(
-                            (ty.Msg(CLOSURE_TAG, tuple(captured_usage)), base)
-                        ),
-                    )
-                )
-            )
-        else:
-            decl = normalize(ty.Sum((ty.ONE, base)))
+        decl = closure_decl(base, tuple(captured_usage))
         self.decls[p.name] = decl
         s0 = env.pop(p.name, ty.ONE)
         for name in env:
@@ -689,20 +662,26 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
     return Checker(program, bound).run()
 
 
-def resolve_closure_types(program: CoreProgram) -> None:
-    """Fill in the declared types of desugared continuation objects without
-    full checking, so the runtime can execute unchecked programs.  CLOSURE
-    argument types are approximated by the captured names' declared types;
-    execution and monitoring only ever look at message tags, so the
-    approximation is harmless there."""
+def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
+    """Every object's normalized declared type, by node id, without full
+    checking and without writing into the program, so the runtime executes
+    checked and unchecked programs alike.  A continuation's type is resolved
+    from its ClosureSpec, with CLOSURE argument types approximated by the
+    captured names' declared types: the runtime follows message tags, and
+    only asks whether a leftover CLOSURE message's arguments are relevant."""
     alg = TypeAlgebra(program.table)
     decls: dict[Name, TypeExpr] = dict(BUILTIN_DECLS)
+    out: dict[int, TypeExpr] = {}
+    slots: dict[tuple[TypeExpr, str], Optional[Msg]] = {}
 
     def slot_of(decl: TypeExpr, tag: str) -> Optional[Msg]:
-        verdict = arg_determinate(alg, decl, {tag: 1})
-        if verdict.kind != "determinate":
-            return None
-        return verdict.assignment[tag]
+        key = (decl, tag)
+        if key not in slots:
+            verdict = arg_determinate(alg, decl, {tag: 1})
+            slots[key] = (
+                verdict.assignment[tag] if verdict.kind == "determinate" else None
+            )
+        return slots[key]
 
     def resolve(p: Process):
         if isinstance(p, Par):
@@ -712,33 +691,22 @@ def resolve_closure_types(program: CoreProgram) -> None:
             resolve(p.then)
             resolve(p.els)
         elif isinstance(p, NewObj):
-            if p.closure is not None and p.decl is None:
-                spec = p.closure
-                kind = spec.origin[0]
-                target = spec.origin[1]
-                tag = spec.origin[2]
+            spec = p.closure
+            if spec is None:
+                decl = p.decl  # normalized by the desugarer
+            else:
+                kind, target, tag = spec.origin[:3]
                 slot = slot_of(decls.get(target, ty.ONE), tag)
                 base: TypeExpr = ty.ONE
                 if slot is not None and slot.args:
                     base = slot.args[-1 if kind == "sync" else spec.origin[3]]
-                closure_args = tuple(
-                    decls.get(n, ty.ONE) for n in spec.captured
+                decl = closure_decl(
+                    base, tuple(decls.get(n, ty.ONE) for n in spec.captured)
                 )
-                if spec.captured:
-                    p.decl = normalize(
-                        ty.Sum(
-                            (
-                                ty.ONE,
-                                ty.Prod((ty.Msg(CLOSURE_TAG, closure_args), base)),
-                            )
-                        )
-                    )
-                else:
-                    p.decl = normalize(ty.Sum((ty.ONE, base)))
-            decls[p.name] = p.decl if p.decl is not None else ty.ONE
+            out[p.node_id] = decls[p.name] = decl
             for rule in p.rules:
                 for m in rule.pattern:
-                    slot = slot_of(decls[p.name], m.tag)
+                    slot = slot_of(decl, m.tag)
                     for i, param in enumerate(m.params):
                         if slot is not None and i < len(slot.args):
                             decls[param] = normalize(slot.args[i])
@@ -748,3 +716,4 @@ def resolve_closure_types(program: CoreProgram) -> None:
             resolve(p.body)
 
     resolve(program.process)
+    return out

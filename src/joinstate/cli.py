@@ -4,9 +4,18 @@ Exit codes:
   check    0 accepted, 1 rejected
   run      0 Terminated, 2 MonitorViolation, 3 Deadlocked,
            4 StepBudgetExhausted (not a failure: some programs are
-           intentionally infinite), 1 rejected by the type checker
+           intentionally infinite), 5 RuntimeFault, 1 rejected by the
+           type checker
   fuzz     0 if the summary assertion holds, 1 otherwise
   any      64 usage error, 65 parse or type-declaration error
+
+A run with monitors on ends in MonitorViolation when a mailbox leaves its
+protocol, and also when the run quiesces with some mailbox holding only
+part of a configuration of its protocol (a message sent too many or too
+few times); Deadlocked takes precedence.  RuntimeFault is an arithmetic
+fault (`/` or `%` by zero, overflow) or a send to a method the builtin
+objects lack; fuzz counts it as a violation.  Input nested more than
+parser.MAX_NESTING levels deep is a parse error.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from collections import Counter
 from .checker import Checker, check_program
 from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
-from .runtime import Soup, run
+from .runtime import RUNTIME_FAULTS, Soup, run
 from .semilinear import SubtypeEngine, joint_alphabet, live, parikh
 from .types import TypeAlgebra, TypeDeclError, normalize, render
 
@@ -33,6 +42,7 @@ RUN_EXIT = {
     "MonitorViolation": 2,
     "Deadlocked": 3,
     "StepBudgetExhausted": 4,
+    "RuntimeFault": 5,
 }
 
 
@@ -276,12 +286,15 @@ def cmd_fuzz(args) -> int:
     invariant_failures = 0
     for seed in range(args.seeds):
         if args.check_solution:
-            soup = Soup(program, seed=seed, monitors=monitors)
-            ok = soup.check_solution()
-            while ok and soup.steps < args.max_steps and soup.violation is None:
-                if not soup.step():
-                    break
+            try:
+                soup = Soup(program, seed=seed, monitors=monitors)
                 ok = soup.check_solution()
+                while ok and soup.steps < args.max_steps and soup.violation is None:
+                    if not soup.step():
+                        break
+                    ok = soup.check_solution()
+            except RUNTIME_FAULTS:
+                ok = True  # the run below reports the fault
             if not ok:
                 invariant_failures += 1
         result = run(
@@ -291,7 +304,7 @@ def cmd_fuzz(args) -> int:
             monitors=monitors,
         )
         verdicts[result.verdict] += 1
-        if result.verdict in ("MonitorViolation", "Deadlocked"):
+        if result.verdict in ("MonitorViolation", "Deadlocked", "RuntimeFault"):
             violations += 1
     if args.expect_violation:
         ok = violations == args.seeds

@@ -9,7 +9,7 @@ shadowing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .types import TypeExpr
@@ -115,6 +115,10 @@ class Rule:
     body: Process
 
 
+# Tag of the message that threads a continuation's captured names into it.
+CLOSURE_TAG = "CLOSURE"
+
+
 @dataclass(frozen=True)
 class ClosureSpec:
     """How a desugared continuation object relates to its environment.
@@ -124,7 +128,9 @@ class ClosureSpec:
     object's single rule.  `origin` records where the object's base protocol
     comes from: ("sync", target, tag) takes the trailing argument of that
     message slot, ("anon", receiver, tag, index) takes the indexed argument.
-    The checker materializes the declared type from this."""
+    The checker derives the declared type from this while checking, and the
+    runtime resolves one itself (`checker.resolve_closure_types`); neither
+    writes it into the program, whose `NewObj.decl` stays None."""
 
     captured: tuple[Name, ...]
     origin: tuple
@@ -147,44 +153,3 @@ class CoreProgram:
     table: dict[str, TypeExpr]
     process: Process
     source_name: str = "<input>"
-
-
-def free_names(p: Process) -> set[Name]:
-    """Free names of a process.  Binders are globally unique, so occurrences
-    can be collected first and the bound names subtracted at the end."""
-    used: set[Name] = set()
-    bound: set[Name] = set()
-
-    def expr(e: Expr):
-        if isinstance(e, Var):
-            used.add(e.name)
-        elif isinstance(e, BinOp):
-            expr(e.left)
-            expr(e.right)
-
-    def go(p: Process):
-        if isinstance(p, Done):
-            return
-        if isinstance(p, Send):
-            used.add(p.target)
-            for m in p.molecule:
-                for a in m.args:
-                    expr(a)
-        elif isinstance(p, Par):
-            for q in p.parts:
-                go(q)
-        elif isinstance(p, If):
-            expr(p.cond)
-            go(p.then)
-            go(p.els)
-        elif isinstance(p, NewObj):
-            bound.add(p.name)
-            for rule in p.rules:
-                bound.update(x for m in rule.pattern for x in m.params)
-                go(rule.body)
-            go(p.body)
-        else:
-            raise TypeError(f"not a process: {p!r}")
-
-    go(p)
-    return used - bound

@@ -40,12 +40,6 @@ class DependencyRelation:
     def related(self, u: Name, v: Name) -> bool:
         return u != v and any(u in b and v in b for b in self.blocks)
 
-    def names(self) -> frozenset[Name]:
-        out: set[Name] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
-
     def restrict(self, name: Name) -> "DependencyRelation":
         out = []
         for b in self.blocks:
@@ -72,18 +66,14 @@ def clique(names: Iterable[Name]) -> DependencyRelation:
     return DependencyRelation(frozenset({frozenset(group)}))
 
 
-def pair_rel(u: Name, v: Name) -> DependencyRelation:
-    if u == v:
-        raise SelfDependencyError(u)
-    return clique([u, v])
-
-
-def join(
+def _union(
     d1: DependencyRelation, d2: DependencyRelation
-) -> DependencyRelation | Incompatible:
-    """Merge two relations; Incompatible when they share a pair or their
-    union closes a cycle (both surface as a union of connected names)."""
+) -> tuple[DependencyRelation, Incompatible | None]:
+    """Connect everything either relation connects (union-find), and report
+    the first pair of d2 that d1 and the earlier pairs of d2 had already
+    connected: a pair related twice, or the edge that closes a cycle."""
     parent: dict[Name, Name] = {}
+    clash: Incompatible | None = None
 
     def find(x: Name) -> Name:
         root = x
@@ -104,46 +94,32 @@ def join(
         for other in members[1:]:
             ru, rv = find(first), find(other)
             if ru == rv:
-                return Incompatible(first, other)
-            parent[rv] = ru
+                if clash is None:
+                    clash = Incompatible(first, other)
+            else:
+                parent[rv] = ru
 
     groups: dict[Name, set[Name]] = {}
     for block in d1.blocks | d2.blocks:
         for name in block:
             groups.setdefault(find(name), set()).add(name)
-    return DependencyRelation(
+    union = DependencyRelation(
         frozenset(frozenset(g) for g in groups.values() if len(g) >= 2)
     )
+    return union, clash
+
+
+def join(
+    d1: DependencyRelation, d2: DependencyRelation
+) -> DependencyRelation | Incompatible:
+    """Merge two relations; Incompatible when they share a pair or their
+    union closes a cycle (both surface as a union of connected names)."""
+    union, clash = _union(d1, d2)
+    return union if clash is None else clash
 
 
 def merge(d1: DependencyRelation, d2: DependencyRelation) -> DependencyRelation:
-    """Coarsest common refinement-free union: connect everything either
-    relation connects, without the incompatibility check.  Used where the two
-    relations describe mutually exclusive branches."""
-    result = join(d1, d2)
-    if isinstance(result, Incompatible):
-        # Redo the union ignoring the clash: union-find over all blocks.
-        parent: dict[Name, Name] = {}
-
-        def find(x: Name) -> Name:
-            while parent.get(x, x) != x:
-                x = parent[x]
-            return x
-
-        for block in d1.blocks | d2.blocks:
-            it = iter(block)
-            first = find(next(it))
-            for other in it:
-                parent[find(other)] = first
-        groups: dict[Name, set[Name]] = {}
-        for block in d1.blocks | d2.blocks:
-            for name in block:
-                groups.setdefault(find(name), set()).add(name)
-        return DependencyRelation(
-            frozenset(frozenset(g) for g in groups.values() if len(g) >= 2)
-        )
-    return result
-
-
-def compatible(d1: DependencyRelation, d2: DependencyRelation) -> bool:
-    return not isinstance(join(d1, d2), Incompatible)
+    """Connect everything either relation connects, without the
+    incompatibility check.  Used where the two relations describe mutually
+    exclusive branches."""
+    return _union(d1, d2)[0]

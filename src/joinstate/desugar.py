@@ -25,6 +25,7 @@ from . import parser as sf
 from . import types as ty
 from .core import (
     BUILTIN_OBJECTS,
+    CLOSURE_TAG,
     NUMBER_OBJ,
     SYSTEM,
     BinOp,
@@ -58,7 +59,6 @@ class DesugarError(Exception):
         self.pos = pos
 
 
-CLOSURE_TAG = "CLOSURE"
 REPLY_TAG = "Reply"
 
 # A wrapper closes over a lifted construct and installs it around the

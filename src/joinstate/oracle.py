@@ -164,11 +164,3 @@ def enabled_reactions(soup) -> list[tuple]:
             }
             out.extend((inst.oid, rule_idx, sel) for sel in selections)
     return out
-
-
-def fuzz_schedules(program, seeds: Iterable[int], **run_kwargs):
-    """Run a program under many seeds, yielding (seed, RunResult)."""
-    from .runtime import run
-
-    for seed in seeds:
-        yield seed, run(program, seed=seed, **run_kwargs)

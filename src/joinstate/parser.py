@@ -271,11 +271,36 @@ def tokenize(source: str) -> list[Token]:
 
 # --- parser ---------------------------------------------------------------
 
+# Every pass after the parser recurses on the tree, a few frames per level,
+# so input nested deeper than this is rejected here rather than overflowing
+# Python's stack later.
+MAX_NESTING = 100
+
+
+def _nested(rule):
+    """Count one level of nesting while a recursive grammar rule runs."""
+
+    def counted(self):
+        self.enter()
+        out = rule(self)
+        self.depth -= 1
+        return out
+
+    return counted
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"nested more than {MAX_NESTING} levels deep", self.tok.pos
+            )
 
     @property
     def tok(self) -> Token:
@@ -297,6 +322,7 @@ class _Parser:
 
     # types
 
+    @_nested
     def type_expr(self) -> TypeExpr:
         parts = [self.type_prod()]
         while self.at("+"):
@@ -311,6 +337,7 @@ class _Parser:
             parts.append(self.type_star())
         return parts[0] if len(parts) == 1 else ty.Prod(tuple(parts))
 
+    @_nested
     def type_star(self) -> TypeExpr:
         if self.at("*"):
             self.advance()
@@ -364,6 +391,7 @@ class _Parser:
         self.expect("eof", "end of input")
         return SurfaceAST(decls, proc)
 
+    @_nested
     def process(self) -> SProc:
         parts = [self.proc_term()]
         while self.at("&"):
@@ -492,6 +520,7 @@ class _Parser:
 
     # expressions
 
+    @_nested
     def expr(self) -> SExpr:
         left = self.additive()
         if self.at("=", "!=", "<", "<=", ">", ">="):
@@ -502,19 +531,23 @@ class _Parser:
         return left
 
     def additive(self) -> SExpr:
-        left = self.multiplicative()
-        while self.at("+", "-"):
-            op = self.advance()
-            left = SBinOp(op.kind, left, self.multiplicative(), op.pos)
-        return left
+        return self.chain(("+", "-"), self.multiplicative)
 
     def multiplicative(self) -> SExpr:
-        left = self.unary()
-        while self.at("*", "/", "%"):
+        return self.chain(("*", "/", "%"), self.unary)
+
+    def chain(self, ops: tuple[str, ...], operand) -> SExpr:
+        """`a op b op ...`, nested to the left: each operator is a level."""
+        depth = self.depth
+        left = operand()
+        while self.at(*ops):
             op = self.advance()
-            left = SBinOp(op.kind, left, self.unary(), op.pos)
+            self.enter()
+            left = SBinOp(op.kind, left, operand(), op.pos)
+        self.depth = depth
         return left
 
+    @_nested
     def unary(self) -> SExpr:
         if self.at("-"):
             op = self.advance()

@@ -12,13 +12,17 @@ tree over objects), then decodes the index into a selection.
 Optional monitors track every object's declared type derived by the tags
 sitting in its mailbox; if that residual becomes unusable the program has
 broken its protocol and the run stops.  When no reaction is enabled
-the run has quiesced: it terminated cleanly unless some leftover message
-still carries an argument the type marks as relevant, which means somebody
-is waiting forever — a deadlock.
+the run has quiesced.  It is a deadlock if some leftover message still
+carries an argument the type marks as relevant, as somebody is waiting
+forever.  Otherwise, with monitors on, every residual must be nullable:
+a mailbox holding only part of a configuration of its protocol means a
+message was sent too many or too few times.  Arithmetic faults and sends
+to methods the builtin objects lack end the run as a RuntimeFault.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -73,6 +77,7 @@ class Instance:
     env: dict[Name, Value]
     # Per rule, the (tag, copies) pairs its pattern needs, sorted by tag.
     needs: list[list[tuple[str, int]]]
+    decl: TypeExpr
     # tag -> distinct message -> multiplicity; tags with no messages absent.
     mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
     # Per rule, the number of distinct selections the mailbox allows.
@@ -80,10 +85,6 @@ class Instance:
     # Monitor state of the declared type derived by every tag in the
     # mailbox (tracked only when monitors are on).
     residual: int = 0
-
-    @property
-    def decl(self) -> TypeExpr:
-        return self.node.decl if self.node.decl is not None else ty.ONE
 
     def tags(self) -> list[str]:
         """The mailbox's tags, one per message, sorted."""
@@ -109,11 +110,14 @@ class TraceEvent:
 
 @dataclass
 class RunResult:
-    verdict: str  # Terminated | Deadlocked | StepBudgetExhausted | MonitorViolation
+    # Terminated | Deadlocked | StepBudgetExhausted | MonitorViolation |
+    # RuntimeFault
+    verdict: str
     steps: int
     outputs: list[float]
     trace: list[TraceEvent]
     deadlocked: list[str] = field(default_factory=list)
+    # What broke the protocol, or the fault.
     violation: Optional[str] = None
     created: dict[str, int] = field(default_factory=dict)
 
@@ -128,6 +132,12 @@ class RuntimeError_(Exception):
     pass
 
 
+# What a well-formed program can still raise while it runs: `/` or `%` by
+# zero (math.fmod raises ValueError), overflow, and sends to methods the
+# builtin objects lack.
+RUNTIME_FAULTS = (ArithmeticError, ValueError, RuntimeError_)
+
+
 class Soup:
     def __init__(
         self,
@@ -136,7 +146,7 @@ class Soup:
         monitors: bool = True,
         trace: bool = False,
     ):
-        resolve_closure_types(program)
+        self.decls = resolve_closure_types(program)
         self.alg = TypeAlgebra(program.table)
         self.rng = random.Random(seed)
         self.monitors = monitors
@@ -205,7 +215,7 @@ class Soup:
                 sorted(Counter(m.tag for m in rule.pattern).items())
                 for rule in node.rules
             ]
-        inst = Instance(oid, node, env2, needs)
+        inst = Instance(oid, node, env2, needs, self.decls[node.node_id])
         if self.monitors:
             inst.residual = self.residual(inst)
         self.instances.append(inst)
@@ -435,6 +445,35 @@ class Soup:
                 out.append(inst.oid)
         return out
 
+    def quiesce(self) -> list[ObjId]:
+        """Judge a soup where no reaction is enabled: the stuck objects,
+        each traced.  With none stuck and monitors on, the first mailbox
+        holding only part of a configuration of its protocol (a residual
+        that is not nullable) is a violation."""
+        stuck = self.stuck_objects()
+        for oid in stuck:
+            inst = self.instances[oid.serial - 1]
+            self.emit(
+                "deadlock",
+                repr(oid),
+                ",".join(sorted(
+                    tag for tag, msgs in inst.mailbox.items() for _ in msgs
+                )),
+                "",
+            )
+        if stuck or not self.monitors:
+            return stuck
+        nullable = functools.cache(lambda s: self.alg.nullable(self._types[s]))
+        for inst in self.instances:
+            if not nullable(inst.residual):
+                self.violation = (
+                    f"{inst.oid!r} ends with messages "
+                    f"[{','.join(inst.tags())}], short of a whole "
+                    f"configuration of its protocol {ty.render(inst.decl)}"
+                )
+                break
+        return stuck
+
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
         re-typing invariant the scheduler is expected to preserve."""
@@ -448,54 +487,29 @@ def run(
     monitors: bool = True,
     trace: bool = False,
 ) -> RunResult:
-    soup = Soup(program, seed=seed, monitors=monitors, trace=trace)
-    while soup.steps < max_steps:
-        if soup.violation is not None:
-            return RunResult(
-                "MonitorViolation",
-                soup.steps,
-                soup.outputs,
-                soup.trace,
-                violation=soup.violation,
-                created=soup.created,
-            )
-        if not soup.step():
-            stuck = soup.stuck_objects()
-            if stuck:
-                for oid in stuck:
-                    inst = soup.instances[oid.serial - 1]
-                    soup.emit(
-                        "deadlock",
-                        repr(oid),
-                        ",".join(sorted(
-                            tag for tag, msgs in inst.mailbox.items()
-                            for _ in msgs
-                        )),
-                        "",
-                    )
-                return RunResult(
-                    "Deadlocked",
-                    soup.steps,
-                    soup.outputs,
-                    soup.trace,
-                    deadlocked=[repr(o) for o in stuck],
-                    created=soup.created,
-                )
-            return RunResult(
-                "Terminated", soup.steps, soup.outputs, soup.trace,
-                created=soup.created,
-            )
-    if soup.violation is not None:
-        return RunResult(
-            "MonitorViolation",
-            soup.steps,
-            soup.outputs,
-            soup.trace,
-            violation=soup.violation,
-            created=soup.created,
-        )
+    soup: Optional[Soup] = None
+    verdict, stuck = "StepBudgetExhausted", []
+    try:
+        soup = Soup(program, seed=seed, monitors=monitors, trace=trace)
+        while soup.violation is None and soup.steps < max_steps:
+            if not soup.step():
+                stuck = soup.quiesce()
+                verdict = "Deadlocked" if stuck else "Terminated"
+                break
+    except RUNTIME_FAULTS as exc:
+        fault = f"{type(exc).__name__}: {exc}"
+        if soup is None:
+            return RunResult("RuntimeFault", 0, [], [], violation=fault)
+        verdict, soup.violation = "RuntimeFault", fault
+    if soup.violation is not None and verdict != "RuntimeFault":
+        verdict = "MonitorViolation"
     return RunResult(
-        "StepBudgetExhausted", soup.steps, soup.outputs, soup.trace,
+        verdict,
+        soup.steps,
+        soup.outputs,
+        soup.trace,
+        deadlocked=[repr(o) for o in stuck],
+        violation=soup.violation,
         created=soup.created,
     )
 

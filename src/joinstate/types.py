@@ -261,10 +261,6 @@ def config_of(msgs: Iterable[Msg]) -> Config:
     return tuple(sorted((normalize(m) for m in msgs), key=sort_key))  # type: ignore[arg-type]
 
 
-def config_tags(config: Config) -> tuple[str, ...]:
-    return tuple(sorted(m.tag for m in config))
-
-
 class TypeAlgebra:
     """Structural operations over a fixed type table.
 
@@ -278,8 +274,7 @@ class TypeAlgebra:
             self.table.update({k: normalize(v) for k, v in table.items()})
         self._nullable: dict[TypeExpr, bool] = {}
         self._heads: dict[TypeExpr, frozenset[Msg]] = {}
-        self._deriv: dict[tuple[TypeExpr, str], TypeExpr] = {}
-        self._ederiv: dict[tuple[TypeExpr, Msg], TypeExpr] = {}
+        self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
 
     def unfold(self, t: TypeExpr) -> TypeExpr:
@@ -347,34 +342,39 @@ class TypeAlgebra:
         self._heads[t] = r
         return r
 
-    def derivative(self, t: TypeExpr, tag: str) -> TypeExpr:
-        """Residual protocol after one message with the given tag (tag-only match)."""
+    def derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
+        """Residual protocol after one message (Brzozowski 1964).  Given a
+        tag, any message with that tag matches; given a message type, only
+        messages equal to it after normalization do."""
         t = normalize(t)
-        key = (t, tag)
+        if isinstance(a, Msg):
+            a = normalize(a)
+        key = (t, a)
         cached = self._deriv.get(key)
         if cached is not None:
             return cached
-        r = normalize(self._derivative(t, tag))
+        r = normalize(self._derivative(t, a))
         self._deriv[key] = r
         return r
 
-    def _derivative(self, t: TypeExpr, tag: str) -> TypeExpr:
+    def _derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
         if isinstance(t, (Zero, One, Base)):
             return ZERO
         if isinstance(t, Msg):
-            return ONE if t.tag == tag else ZERO
+            hit = t.tag == a if isinstance(a, str) else normalize(t) == a
+            return ONE if hit else ZERO
         if isinstance(t, Sum):
-            return Sum(tuple(self._derivative(p, tag) for p in t.parts))
+            return Sum(tuple(self._derivative(p, a) for p in t.parts))
         if isinstance(t, Prod):
             terms = []
             for i, p in enumerate(t.parts):
-                rest = t.parts[:i] + (self._derivative(p, tag),) + t.parts[i + 1 :]
+                rest = t.parts[:i] + (self._derivative(p, a),) + t.parts[i + 1 :]
                 terms.append(Prod(rest))
             return Sum(tuple(terms))
         if isinstance(t, Star):
-            return Prod((self._derivative(t.body, tag), t))
+            return Prod((self._derivative(t.body, a), t))
         if isinstance(t, Ref):
-            return self._derivative(self.unfold(t), tag)
+            return self._derivative(self.unfold(t), a)
         raise TypeError(f"not a type expression: {t!r}")
 
     def derivative_config(self, t: TypeExpr, tags: Iterable[str]) -> TypeExpr:
@@ -383,41 +383,9 @@ class TypeAlgebra:
             r = self.derivative(r, tag)
         return r
 
-    def exact_derivative(self, t: TypeExpr, msg: Msg) -> TypeExpr:
-        """Like derivative, but consuming one specific message type (tag and
-        argument types must match).  Ground truth for enumeration."""
-        t = normalize(t)
-        msg = normalize(msg)  # type: ignore[assignment]
-        key = (t, msg)
-        cached = self._ederiv.get(key)
-        if cached is not None:
-            return cached
-        r = normalize(self._exact_derivative(t, msg))
-        self._ederiv[key] = r
-        return r
-
-    def _exact_derivative(self, t: TypeExpr, msg: Msg) -> TypeExpr:
-        if isinstance(t, (Zero, One, Base)):
-            return ZERO
-        if isinstance(t, Msg):
-            return ONE if normalize(t) == msg else ZERO
-        if isinstance(t, Sum):
-            return Sum(tuple(self._exact_derivative(p, msg) for p in t.parts))
-        if isinstance(t, Prod):
-            terms = []
-            for i, p in enumerate(t.parts):
-                rest = t.parts[:i] + (self._exact_derivative(p, msg),) + t.parts[i + 1 :]
-                terms.append(Prod(rest))
-            return Sum(tuple(terms))
-        if isinstance(t, Star):
-            return Prod((self._exact_derivative(t.body, msg), t))
-        if isinstance(t, Ref):
-            return self._exact_derivative(self.unfold(t), msg)
-        raise TypeError(f"not a type expression: {t!r}")
-
     def enumerate_configs(self, t: TypeExpr, max_size: int) -> frozenset[Config]:
         """All valid configurations with at most max_size messages, computed by
-        breadth-first search over exact derivatives."""
+        breadth-first search over derivatives by whole messages."""
         t = normalize(t)
         key = (t, max_size)
         cached = self._enum.get(key)
@@ -428,7 +396,7 @@ class TypeAlgebra:
             out.add(EMPTY_CONFIG)
         if max_size > 0:
             for msg in sorted(self.heads(t), key=sort_key):
-                rest = self.exact_derivative(t, msg)
+                rest = self.derivative(t, msg)
                 if isinstance(rest, Zero):
                     continue
                 for cfg in self.enumerate_configs(rest, max_size - 1):

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from joinstate.checker import check_program
+from joinstate.core import If, NewObj, Par
 from joinstate.desugar import load_program
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -14,6 +15,21 @@ MANIFEST = json.loads((PROGRAMS / "manifest.json").read_text())
 
 def check_source(src):
     return check_program(load_program(src))
+
+
+def news(p):
+    """Every object definition in a core process."""
+    if isinstance(p, NewObj):
+        yield p
+        for rule in p.rules:
+            yield from news(rule.body)
+        yield from news(p.body)
+    elif isinstance(p, Par):
+        for q in p.parts:
+            yield from news(q)
+    elif isinstance(p, If):
+        yield from news(p.then)
+        yield from news(p.els)
 
 
 def check_file(rel):
@@ -32,6 +48,17 @@ class TestCorpus:
         report = check_file(rel)
         assert report.verdict == "rejected"
         assert set(report.codes()) == {code}, [str(d) for d in report.diagnostics]
+
+    @pytest.mark.parametrize(
+        "rel", MANIFEST["accepted"] + sorted(MANIFEST["rejected"])
+    )
+    def test_program_left_as_loaded(self, rel):
+        path = PROGRAMS / rel
+        program = load_program(path.read_text(), str(path))
+        decls = [(p, p.decl) for p in news(program.process)]
+        check_program(program)
+        assert all(p.decl is decl for p, decl in decls)
+        assert all((p.decl is None) == (p.closure is not None) for p, _ in decls)
 
     def test_report_json_shape(self):
         report = check_file("accepted/future-user.cob")

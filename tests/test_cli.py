@@ -72,6 +72,40 @@ class TestRun:
         bad.write_text(src)
         assert main(["run", str(bad), "--no-typecheck"]) == 2
 
+    @pytest.mark.parametrize(
+        "rel", ["rejected/extra-message.cob", "rejected/missing-message.cob"]
+    )
+    def test_incomplete_protocol_at_quiescence_exit_code(self, rel, capsys):
+        assert main(["run", path(rel), "--no-typecheck"]) == 2
+        assert "obj@1 ends with messages" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "src,typecheck",
+        [
+            ("System!Print(1 / 0)", True),
+            ("System!Print(1 % 0)", True),
+            ("System!Foo(1)", False),
+        ],
+    )
+    def test_runtime_fault_exit_code(self, tmp_path, capsys, src, typecheck):
+        bad = tmp_path / "fault.cob"
+        bad.write_text(src)
+        argv = ["run", str(bad), "--json"]
+        if not typecheck:
+            argv.append("--no-typecheck")
+        assert main(argv) == 5
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "RuntimeFault"
+        assert data["violation"]
+
+    def test_deep_nesting_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.cob"
+        bad.write_text(
+            "new o : " + "(" * 3000 + "A" + ")" * 3000 + " [ A |> done ] in o!A"
+        )
+        assert main(["check", str(bad)]) == 65
+        assert "nested more than" in capsys.readouterr().err
+
     def test_json_summary(self, capsys):
         main(["run", path("accepted/future-class.cob"), "--json"])
         data = json.loads(capsys.readouterr().out)
@@ -139,6 +173,15 @@ class TestFuzz:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verdicts"] == {"Deadlocked": 6}
+
+    def test_runtime_fault_is_a_violation(self, tmp_path, capsys):
+        bad = tmp_path / "fault.cob"
+        bad.write_text("System!Print(1) & System!Print(1 / 0)")
+        code = main(["fuzz", str(bad), "--seeds", "3", "--check-solution"])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdicts"] == {"RuntimeFault": 3}
+        assert data["violations"] == 3
 
     def test_check_solution_mode(self, capsys):
         code = main([

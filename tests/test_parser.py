@@ -4,6 +4,7 @@ import pytest
 
 from joinstate import types as ty
 from joinstate.parser import (
+    MAX_NESTING,
     ParseError,
     SBlock,
     SCall,
@@ -223,3 +224,29 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_program("done done")
+
+
+class TestNesting:
+    # Far past Python's recursion limit for a recursive-descent parser.
+    DEEP = 3000
+
+    def test_deep_type_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_type("(" * self.DEEP + "A" + ")" * self.DEEP)
+
+    def test_deep_expression_is_a_parse_error(self):
+        src = "System!Print(" + "(" * self.DEEP + "1" + ")" * self.DEEP + ")"
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_program(src)
+
+    def test_long_operator_chain_counts_as_nesting(self):
+        # 1 + 1 + ... nests its additions, so later passes recurse on it.
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_program("System!Print(" + " + ".join(["1"] * self.DEEP) + ")")
+
+    def test_nesting_within_the_limit_parses(self):
+        depth = MAX_NESTING // 2 - 1
+        t = parse_type("(" * depth + "A" + ")" * depth)
+        assert t == ty.Msg("A")
+        src = "System!Print(" + " + ".join(["1"] * (MAX_NESTING - 2)) + ")"
+        assert isinstance(parse_program(src).process, SSend)

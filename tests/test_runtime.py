@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from joinstate.checker import check_program
 from joinstate.desugar import load_program
 from joinstate.oracle import enabled_reactions
 from joinstate.runtime import Soup, run
@@ -157,6 +158,77 @@ class TestQuiescence:
     def test_rejected_deadlock_program_deadlocks_at_runtime(self):
         result = run(load_file("rejected/future-user-deadlock.cob"))
         assert result.verdict == "Deadlocked"
+
+    @pytest.mark.parametrize(
+        "rel,leftover",
+        [("rejected/extra-message.cob", "[B]"), ("rejected/missing-message.cob", "[A]")],
+    )
+    def test_incomplete_protocol_is_a_violation(self, rel, leftover):
+        # Each leaves half of an A · B pair behind: nobody waits on it, but
+        # the mailbox is no whole configuration of *(A · B).
+        for seed in range(3):
+            result = run(load_file(rel), seed=seed)
+            assert result.verdict == "MonitorViolation"
+            assert f"obj@1 ends with messages {leftover}" in result.violation
+            assert run(load_file(rel), seed=seed, monitors=False).verdict == (
+                "Terminated"
+            )
+
+    def test_deadlock_takes_precedence(self):
+        # The Get message is both waiting forever and short of an A.
+        result = run_source(
+            "new obj : 1 + A · Get(Reply(#Number))"
+            " [ A & Get(r) |> r!Reply(1) ] in"
+            " new user : 1 + Reply(#Number) [ Reply(n) |> System!Print(n) ] in"
+            " obj!Get(user)"
+        )
+        assert result.verdict == "Deadlocked"
+        assert result.violation is None
+
+
+class TestRuntimeFaults:
+    def test_division_by_zero_at_start(self):
+        result = run_source("System!Print(1 / 0)")
+        assert result.verdict == "RuntimeFault"
+        assert result.violation.startswith("ZeroDivisionError")
+
+    def test_fault_inside_a_reaction_keeps_earlier_outputs(self):
+        result = run_source(
+            "new obj : *First(#Number) · *Then(#Number)"
+            " [ First(n) |> System!Print(n) & obj!Then(n - 1)"
+            " | Then(n) |> System!Print(1 % n) ] in obj!First(1)"
+        )
+        assert result.verdict == "RuntimeFault"
+        assert result.violation.startswith("ValueError")
+        assert (result.steps, result.outputs) == (2, [1.0])
+
+    def test_missing_builtin_method(self):
+        result = run_source("System!Foo(1)")
+        assert result.verdict == "RuntimeFault"
+        assert "System has no method Foo/1" in result.violation
+
+
+class TestCheckedAndUncheckedRunsAgree:
+    """The checker leaves the program as it found it, so a checked program
+    runs exactly like the same program loaded without checking."""
+
+    @pytest.mark.parametrize(
+        "rel", sorted(str(p.relative_to(PROGRAMS)) for p in PROGRAMS.rglob("*.cob"))
+    )
+    def test_same_runs(self, rel):
+        checked, unchecked = load_file(rel), load_file(rel)
+        check_program(checked)
+        # The sieve never ends.
+        max_steps = 1000 if "sieve" in rel else 100_000
+        for seed in range(5):
+            a, b = (
+                run(p, seed=seed, max_steps=max_steps, trace=True)
+                for p in (checked, unchecked)
+            )
+            assert (a.verdict, a.steps, a.outputs, a.created) == (
+                b.verdict, b.steps, b.outputs, b.created
+            ), seed
+            assert a.trace == b.trace, seed
 
 
 class TestMonitors:

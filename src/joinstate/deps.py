@@ -66,12 +66,21 @@ def clique(names: Iterable[Name]) -> DependencyRelation:
     return DependencyRelation(frozenset({frozenset(group)}))
 
 
+def _ordered(d: DependencyRelation) -> list[list[Name]]:
+    """The blocks of d as sorted lists, in sorted order: a walk that does not
+    depend on string hashing, so clash reports are the same in every run."""
+    blocks = [sorted(block, key=repr) for block in d.blocks]
+    blocks.sort(key=lambda block: [repr(name) for name in block])
+    return blocks
+
+
 def _union(
     d1: DependencyRelation, d2: DependencyRelation
 ) -> tuple[DependencyRelation, Incompatible | None]:
     """Connect everything either relation connects (union-find), and report
-    the first pair of d2 that d1 and the earlier pairs of d2 had already
-    connected: a pair related twice, or the edge that closes a cycle."""
+    the first pair of d2, in `_ordered` order, that d1 and the earlier pairs
+    of d2 had already connected: a pair related twice, or the edge that
+    closes a cycle."""
     parent: dict[Name, Name] = {}
     clash: Incompatible | None = None
 
@@ -88,10 +97,10 @@ def _union(
         first = find(next(it))
         for other in it:
             parent[find(other)] = first
-    for block in d2.blocks:
-        members = list(block)
-        first = members[0]
-        for other in members[1:]:
+    # Only this walk picks the reported pair; d1's only builds connectivity.
+    for block in _ordered(d2):
+        first = block[0]
+        for other in block[1:]:
             ru, rv = find(first), find(other)
             if ru == rv:
                 if clash is None:

@@ -263,28 +263,34 @@ class Soup:
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
             op = e.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            if op == "%":
-                return math.fmod(a, b)
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
+            # Only an unchecked program gets here with an object operand.
+            try:
+                if op == "+":
+                    return a + b
+                if op == "-":
+                    return a - b
+                if op == "*":
+                    return a * b
+                if op == "/":
+                    return a / b
+                if op == "%":
+                    return math.fmod(a, b)
+                if op == "==":
+                    return a == b
+                if op == "!=":
+                    return a != b
+                if op == "<":
+                    return a < b
+                if op == "<=":
+                    return a <= b
+                if op == ">":
+                    return a > b
+                if op == ">=":
+                    return a >= b
+            except TypeError:
+                raise RuntimeError_(
+                    f"cannot apply {op} to {_fmt(a)} and {_fmt(b)}"
+                ) from None
         raise TypeError(f"not an expression: {e!r}")
 
     # --- monitors -----------------------------------------------------------

@@ -6,9 +6,17 @@ combination of period vectors).  On that representation subtyping, liveness
 and argument determinacy become vector problems.
 
 Subtyping is exact whenever it answers No or proves inclusion through the
-syntactic fast path; otherwise it enumerates period combinations up to a
-bound and answers YesBounded, which callers may treat as success with a
-recorded caveat.
+syntactic fast path; otherwise it checks every vector of the supertype with
+at most `bound` periods added and answers YesBounded, which callers may
+treat as success with a recorded caveat.
+
+Each of those checks is a table lookup.  One `_subtype` call builds a bitset
+of the subtype's Parikh image over the box of counts the checked vectors can
+reach: one cone of period sums per distinct period set, shifted by each base
+that has it (`_Box`).  A vector matches when it, or another split of its tag
+counts over the slots of a tag, is in the bitset and its messages can be
+transported onto that split along argument subtyping (`_Matcher`).  The
+table takes one bit per point of the box; criterion 8's largest has 10,368.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ def _subsumed(a: LinearSet, b: LinearSet) -> bool:
     return a.periods <= b.periods and _linear_member(a.base, b.base, sorted(b.periods))
 
 
-def _prune(components: list[LinearSet]) -> list[LinearSet]:
+def _prune(components: Iterable[LinearSet]) -> list[LinearSet]:
     out: list[LinearSet] = []
     for c in components:
         if any(_subsumed(c, d) for d in out):
@@ -133,12 +141,11 @@ def parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet]
             acc = [LinearSet(_zero(n), frozenset())]
             for p in t.parts:  # type: ignore[attr-defined]
                 parts = go(p)
+                # Pruned as generated, so the full product never exists.
                 acc = _prune(
-                    [
-                        LinearSet(_add(a.base, b.base), a.periods | b.periods)
-                        for a in acc
-                        for b in parts
-                    ]
+                    LinearSet(_add(a.base, b.base), a.periods | b.periods)
+                    for a in acc
+                    for b in parts
                 )
                 if not acc:
                     return []
@@ -301,15 +308,16 @@ class SubtypeEngine:
         alphabet = joint_alphabet(alg, t, s)
         t_comps = self._parikh_of(t, alphabet)
         s_comps = self._parikh_of(s, alphabet)
-        all_fast = True
+        matcher: _Matcher | None = None
         for comp in s_comps:
             if self._fast_include(comp, t_comps, alphabet):
                 continue
-            all_fast = False
-            missing = self._bounded_include(comp, t_comps, alphabet)
+            if matcher is None:
+                matcher = _Matcher(self, t_comps, s_comps, alphabet)
+            missing = self._bounded_include(comp, matcher, alphabet)
             if missing is not None:
                 return Verdict("no", counterexample=missing)
-        if all_fast:
+        if matcher is None:
             return YES
         return Verdict("yes-bounded", bound=self.bound)
 
@@ -358,7 +366,7 @@ class SubtypeEngine:
         return False
 
     def _bounded_include(
-        self, comp: LinearSet, t_comps: list[LinearSet], alphabet: Alphabet
+        self, comp: LinearSet, matcher: "_Matcher", alphabet: Alphabet
     ) -> Config | None:
         """Check vectors of comp with period-coefficient sum <= bound; return a
         counterexample configuration if one has no match."""
@@ -367,21 +375,9 @@ class SubtypeEngine:
             v = comp.base
             for p, k in zip(periods, coeffs):
                 v = _scale_add(v, p, k)
-            if not self._vector_matches(v, t_comps, alphabet):
+            if not matcher.matches(v):
                 return _config_of_vector(v, alphabet)
         return None
-
-    def _vector_matches(
-        self, v: Vector, t_comps: list[LinearSet], alphabet: Alphabet
-    ) -> bool:
-        tags = sorted({slot.tag for slot in alphabet})
-        tag_of = [tags.index(slot.tag) for slot in alphabet]
-        want = _tag_counts(v, tag_of, len(tags))
-        for target in t_comps:
-            for w in _vectors_with_tags(target, want, tag_of):
-                if self._transport_ok(v, w, alphabet):
-                    return True
-        return False
 
     def _transport_ok(self, v: Vector, w: Vector, alphabet: Alphabet) -> bool:
         tags = {alphabet[i].tag for i in range(len(v)) if v[i]}
@@ -407,32 +403,129 @@ def _bounded_coeffs(n: int, total: int) -> Iterable[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _vectors_with_tags(
-    comp: LinearSet, want: list[int], tag_of: Sequence[int]
-) -> Iterable[Vector]:
-    """All vectors of the linear set whose per-tag counts are want.  Periods
-    only add, so a partial sum that overshoots some tag count is pruned."""
-    periods = sorted(p for p in comp.periods if any(p))
-    period_tags = [_tag_counts(p, tag_of, len(want)) for p in periods]
+class _Box:
+    """Membership in a union of linear sets, for vectors inside the box
+    0 <= x <= hi, as one bitset indexed in mixed radix.
 
-    def fits(have: list[int]) -> bool:
-        return all(h <= w for h, w in zip(have, want))
+    Components are grouped by period set.  A group's cone holds every sum of
+    its periods that fits in the box; a component (b, P) adds the cone of P
+    shifted by b.  Sums only grow, so the cone cut to the box is exact."""
 
-    def go(v: Vector, have: list[int], i: int) -> Iterable[Vector]:
-        if have == want:
-            yield v
-            return
-        if i == len(periods):
-            return
-        p, p_tags = periods[i], period_tags[i]
-        while fits(have):
-            yield from go(v, have, i + 1)
-            v = _add(v, p)
-            have = [h + t for h, t in zip(have, p_tags)]
+    def __init__(self, comps: Iterable[LinearSet], hi: Sequence[int]):
+        self.hi = hi
+        self.strides = [0] * len(hi)
+        size = 1
+        for j in reversed(range(len(hi))):
+            self.strides[j] = size
+            size *= hi[j] + 1
+        groups: dict[frozenset[Vector], list[Vector]] = {}
+        for c in comps:
+            groups.setdefault(c.periods, []).append(c.base)
+        bits = 0
+        for periods, bases in groups.items():
+            cone = self._cone(periods)
+            for b in bases:
+                bits |= (cone & self._room(b)) << self.index(b)
+        self._bits = bits.to_bytes((size + 7) // 8, "little")
 
-    have = _tag_counts(comp.base, tag_of, len(want))
-    if fits(have):
-        yield from go(comp.base, have, 0)
+    def index(self, v: Vector) -> int:
+        return sum(x * s for x, s in zip(v, self.strides))
+
+    def __contains__(self, idx: int) -> bool:
+        return bool(self._bits[idx >> 3] >> (idx & 7) & 1)
+
+    def _room(self, v: Vector) -> int:
+        """The points x of the box with x + v still inside it."""
+        mask = 1
+        for h, x, s in zip(reversed(self.hi), reversed(v), reversed(self.strides)):
+            if x > h:
+                return 0
+            mask = sum(mask << (k * s) for k in range(h - x + 1))
+        return mask
+
+    def _cone(self, periods: Iterable[Vector]) -> int:
+        cone = 1
+        for p in periods:
+            if not any(p):
+                continue
+            # Adding p, 2p, 4p, ... in turn reaches every multiple of p
+            # that fits.
+            step = p
+            while all(x <= h for x, h in zip(step, self.hi)):
+                cone |= (cone & self._room(step)) << self.index(step)
+                step = _add(step, step)
+        return cone
+
+
+class _Matcher:
+    """Whether a supertype-side vector is matched by some vector of the
+    subtype's components, for one `_subtype` call.
+
+    A match w has v's count for every tag and lies in the subtype's Parikh
+    image; a transport of v's messages onto w's slots along `_args_ok` must
+    exist.  Membership is looked up in a `_Box` built once over every count
+    a candidate of the supertype can reach, and answers are memoized per
+    vector."""
+
+    def __init__(
+        self,
+        engine: SubtypeEngine,
+        t_comps: list[LinearSet],
+        s_comps: list[LinearSet],
+        alphabet: Alphabet,
+    ):
+        self.engine = engine
+        self.alphabet = alphabet
+        tags = sorted({slot.tag for slot in alphabet})
+        tag_of = [tags.index(slot.tag) for slot in alphabet]
+        # The box bounds each slot by the most messages of its tag that a
+        # candidate (base plus at most `bound` periods) can carry.
+        top = [0] * len(tags)
+        for c in s_comps:
+            grow = [0] * len(tags)
+            for p in c.periods:
+                grow = list(map(max, grow, _tag_counts(p, tag_of, len(tags))))
+            base = _tag_counts(c.base, tag_of, len(tags))
+            top = [max(a, b + engine.bound * g) for a, b, g in zip(top, base, grow)]
+        self.box = _Box(t_comps, [top[g] for g in tag_of])
+        slots: list[list[int]] = [[] for _ in tags]
+        for i, g in enumerate(tag_of):
+            slots[g].append(i)
+        # A tag with one slot can split its count only as v does.
+        self.split_tags = [s for s in slots if len(s) > 1]
+        self.memo: dict[int, bool] = {}
+
+    def matches(self, v: Vector) -> bool:
+        key = self.box.index(v)
+        hit = self.memo.get(key)
+        if hit is None:
+            # v itself needs no transport: every message keeps its slot.
+            hit = key in self.box or any(
+                w != v
+                and self.box.index(w) in self.box
+                and self.engine._transport_ok(v, w, self.alphabet)
+                for w in self._splits(v)
+            )
+            self.memo[key] = hit
+        return hit
+
+    def _splits(self, v: Vector) -> Iterable[Vector]:
+        """Every vector with v's count for each tag."""
+        options = []
+        for slots in self.split_tags:
+            total = sum(v[i] for i in slots)
+            options.append(
+                [
+                    head + (total - sum(head),)
+                    for head in _bounded_coeffs(len(slots) - 1, total)
+                ]
+            )
+        w = list(v)
+        for choice in itertools.product(*options):
+            for slots, counts in zip(self.split_tags, choice):
+                for i, k in zip(slots, counts):
+                    w[i] = k
+            yield tuple(w)
 
 
 # --- liveness and argument determinacy ------------------------------------

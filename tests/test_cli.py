@@ -1,7 +1,10 @@
 """End-to-end CLI tests: exit codes, JSON output, traces."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,22 @@ def path(rel):
 class TestCheck:
     def test_accepted_exits_zero(self, capsys):
         assert main(["check", path("accepted/future-user.cob")]) == 0
+
+    def test_json_does_not_depend_on_hash_seed(self):
+        # Dependency clashes are found by walking sets of names, whose
+        # iteration order follows the per-process string hash seed.
+        src = str(PROGRAMS.parent / "src")
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "joinstate.cli", "check", "--json",
+                 path("rejected/future-user-deadlock.cob")],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_rejected_exits_one_with_diagnostic(self, capsys):
         code = main(["check", path("rejected/future-user-deadlock.cob")])
@@ -85,6 +104,11 @@ class TestRun:
             ("System!Print(1 / 0)", True),
             ("System!Print(1 % 0)", True),
             ("System!Foo(1)", False),
+            (
+                "new obj : *Ping(#Number) [ Ping(n) |> System!Print(n) ]"
+                " in System!Print(obj < 1)",
+                False,
+            ),
         ],
     )
     def test_runtime_fault_exit_code(self, tmp_path, capsys, src, typecheck):

@@ -207,6 +207,14 @@ class TestRuntimeFaults:
         assert result.verdict == "RuntimeFault"
         assert "System has no method Foo/1" in result.violation
 
+    def test_arithmetic_on_an_object(self):
+        result = run_source(
+            "new obj : *Ping(#Number) [ Ping(n) |> System!Print(n) ]"
+            " in System!Print(obj + 1)"
+        )
+        assert result.verdict == "RuntimeFault"
+        assert "cannot apply + to obj@1 and 1" in result.violation
+
 
 class TestCheckedAndUncheckedRunsAgree:
     """The checker leaves the program as it found it, so a checked program

@@ -1,10 +1,22 @@
 """Tests for Parikh images, the subtype engine, liveness and argument resolution."""
 
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from joinstate import types as ty
+from joinstate.oracle import oracle_subtype, random_type
 from joinstate.semilinear import (
     AMBIGUOUS,
     DEAD,
     LinearSet,
     SubtypeEngine,
+    _bounded_coeffs,
+    _Box,
+    _Matcher,
+    _transport_exists,
     arg_determinate,
     joint_alphabet,
     live,
@@ -150,6 +162,143 @@ class TestSubtype:
     def test_nullability_gate_counterexample(self):
         v = self.engine.subtype(M, Star(M))
         assert v.kind == "no" and v.counterexample == ()
+
+
+def random_linear_set(rng, n):
+    base = tuple(rng.randint(0, 2) for _ in range(n))
+    periods = frozenset(
+        tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))
+    )
+    return LinearSet(base, periods)
+
+
+def candidates(comps, bound):
+    """The vectors the bounded fallback asks about: base plus at most bound
+    periods."""
+    for c in comps:
+        periods = sorted(p for p in c.periods if any(p))
+        for coeffs in _bounded_coeffs(len(periods), bound):
+            v = c.base
+            for p, k in zip(periods, coeffs):
+                v = tuple(a + k * b for a, b in zip(v, p))
+            yield v
+
+
+class TestMembershipTable:
+    """The table behind bounded inclusion against brute-force membership."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_box_agrees_with_member(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        comps = [random_linear_set(rng, n) for _ in range(rng.randint(1, 4))]
+        hi = [rng.randint(0, 5) for _ in range(n)]
+        box = _Box(comps, hi)
+        for v in itertools.product(*(range(h + 1) for h in hi)):
+            assert (box.index(v) in box) == member(v, comps), (comps, hi, v)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matcher_agrees_with_brute_force(self, seed):
+        # M has three slots, so a match may put v's M messages on other
+        # slots, and whether it may is decided by transport.
+        a, b = msg("A"), msg("B")
+        alphabet = joint_alphabet(
+            TypeAlgebra(), msg("M", a), msg("M", b), msg("M", Sum((a, b))), C
+        )
+        tag_of = [slot.tag for slot in alphabet]
+        engine = SubtypeEngine(TypeAlgebra(), bound=2)
+        rng = random.Random(seed)
+        t_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 3))]
+        s_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 2))]
+        matcher = _Matcher(engine, t_comps, s_comps, alphabet)
+        for v in candidates(s_comps, engine.bound):
+            counts = {tag: 0 for tag in tag_of}
+            for x, tag in zip(v, tag_of):
+                counts[tag] += x
+            same_tags = [
+                w
+                for w in itertools.product(*(range(counts[g] + 1) for g in tag_of))
+                if all(
+                    sum(x for x, g in zip(w, tag_of) if g == tag) == k
+                    for tag, k in counts.items()
+                )
+            ]
+            expect = any(
+                member(w, t_comps) and engine._transport_ok(v, w, alphabet)
+                for w in same_tags
+            )
+            assert matcher.matches(v) == expect, (t_comps, v)
+
+    def test_transport_decides(self):
+        a, b = msg("A"), msg("B")
+        wide = msg("M", Sum((a, b)))
+        narrow = Prod((msg("M", a), msg("M", b)))
+        engine = SubtypeEngine(TypeAlgebra())
+        # Each M(A + B) is matched by M(A) or M(B), never the other way.
+        assert engine.subtype(narrow, Prod((wide, wide))).kind == "yes-bounded"
+        verdict = engine.subtype(Prod((wide, wide)), narrow)
+        assert verdict.kind == "no"
+        assert verdict.counterexample == (msg("M", a), msg("M", b))
+        alg = TypeAlgebra()
+        assert oracle_subtype(alg, narrow, Prod((wide, wide)), size=6)
+        assert not oracle_subtype(alg, Prod((wide, wide)), narrow, size=6)
+        assert _transport_exists([2], [1, 1], [[True, True]])
+        assert not _transport_exists([1, 1], [2], [[False], [True]])
+
+
+def law_battery(alg, engine, t, s, u):
+    """Every query criterion 8 asks about one sample, in its order."""
+    star = ty.Star(t)
+    out = [
+        engine.subtype(t, t),
+        engine.subtype(Sum((t, s)), t),
+        engine.equivalent(Sum((t, t)), t),
+        engine.equivalent(Sum((t, s)), Sum((s, t))),
+        engine.equivalent(Sum((t, ZERO)), t),
+        engine.equivalent(Prod((t, ONE)), t),
+        engine.equivalent(Prod((t, ZERO)), ZERO),
+        engine.equivalent(Prod((t, Sum((s, u)))), Sum((Prod((t, s)), Prod((t, u))))),
+        engine.subtype(Prod((t, Sum((s, u)))), Prod((t, u))),
+        engine.subtype(star, Prod((star, star))),
+        engine.subtype(star, t),
+        engine.equivalent(star, Sum((ONE, Prod((t, star))))),
+    ]
+    tags = sorted({m.tag for m in alg.heads(normalize(t))})
+    if len(tags) >= 2:
+        m1, m2 = tags[0], tags[-1]
+        out.append(
+            engine.equivalent(
+                alg.derivative(alg.derivative(t, m1), m2),
+                alg.derivative(alg.derivative(t, m2), m1),
+            )
+        )
+    pair = engine.subtype(t, s)
+    out.append(pair)
+    if pair.kind == "yes":
+        for tag in sorted({m.tag for m in alg.heads(normalize(s))}):
+            out.append(engine.subtype(alg.derivative(t, tag), alg.derivative(s, tag)))
+    return out
+
+
+def test_law_battery_fingerprint():
+    """Verdict kinds and counterexamples of criterion 8's 500 samples, pinned:
+    a faster engine must answer exactly as the reference search did (6,641
+    queries: 5,981 yes, 270 yes-bounded, 390 no)."""
+    rng = random.Random(42)
+    samples = [random_type(rng) for _ in range(500)]
+    alg = TypeAlgebra({})
+    engine = SubtypeEngine(alg)
+    digest = hashlib.sha256()
+    kinds = {}
+    for i, t in enumerate(samples):
+        s, u = samples[(i + 1) % 500], samples[(i + 2) % 500]
+        for v in law_battery(alg, engine, t, s, u):
+            digest.update(f"{i}|{v.kind}|{v.counterexample!r}\n".encode())
+            kinds[v.kind] = kinds.get(v.kind, 0) + 1
+    assert kinds == {"yes": 5981, "yes-bounded": 270, "no": 390}
+    assert digest.hexdigest() == (
+        "c9aa6f12c8366e72b2d794ae5ed99c697587b6862391a760f6fc6f352db34caa"
+    )
 
 
 class TestDerivativeFacts:

@@ -54,7 +54,7 @@ from .deps import (
     merge,
 )
 from .semilinear import SubtypeEngine, arg_determinate, live
-from .types import Msg, TypeAlgebra, TypeExpr, normalize, render
+from .types import Msg, TypeAlgebra, TypeExpr, render
 
 Pos = Optional[tuple[int, int]]
 
@@ -143,7 +143,7 @@ def closure_decl(base: TypeExpr, captured: tuple[TypeExpr, ...]) -> TypeExpr:
     with one CLOSURE message carrying the captured names, if any."""
     if captured:
         base = ty.Prod((ty.Msg(CLOSURE_TAG, captured), base))
-    return normalize(ty.Sum((ty.ONE, base)))
+    return ty.Sum((ty.ONE, base))
 
 
 def _is_value_type(t: TypeExpr) -> bool:
@@ -199,19 +199,19 @@ class Checker:
         out = dict(env1)
         for name, t in env2.items():
             if name in out:
-                out[name] = normalize(ty.Prod((out[name], t)))
+                out[name] = ty.Prod((out[name], t))
             else:
                 out[name] = t
         return out
 
     @staticmethod
     def branch_combine(env1: Env, env2: Env) -> Env:
-        out: Env = {}
-        for name in set(env1) | set(env2):
-            a = env1.get(name, ty.ONE)
-            b = env2.get(name, ty.ONE)
-            out[name] = a if a == b else normalize(ty.Sum((a, b)))
-        return out
+        # Names in first-seen order, so diagnostics that walk the result
+        # come out alike under every hash seed.
+        return {
+            name: ty.Sum((env1.get(name, ty.ONE), env2.get(name, ty.ONE)))
+            for name in env1 | env2
+        }
 
     def join_deps(
         self, d1: DependencyRelation, d2: DependencyRelation, pos: Pos
@@ -351,13 +351,13 @@ class Checker:
                     )
                     ok = False
                     continue
-                env = self.combine(env, {arg.name: normalize(expected)})
+                env = self.combine(env, {arg.name: expected})
                 obj_args.append(arg.name)
         if not ok:
             return env, EMPTY_DEPS
 
         if target not in self.stateless:
-            env = self.combine(env, {target: ty.prod_of(usage_parts)})
+            env = self.combine(env, {target: ty.Prod(usage_parts)})
 
         # Dependency bookkeeping: sending makes the target wait on the
         # argument objects, and ties the arguments to one another.
@@ -421,7 +421,7 @@ class Checker:
         if p.closure is not None:
             decl = self.check_closure_object(p)
         else:
-            decl = normalize(p.decl)
+            decl = p.decl
             self.decls[p.name] = decl
             if p.stateless:
                 self.stateless.add(p.name)
@@ -492,7 +492,7 @@ class Checker:
                         "valid configuration",
                         pos,
                     )
-                self.decls[param] = normalize(t)
+                self.decls[param] = t
                 params.append(param)
         return params
 
@@ -516,9 +516,7 @@ class Checker:
                     "scope; thread it through a message instead",
                     pos,
                 )
-        residual = normalize(
-            ty.Prod((self.alg.derivative_config(t0, tags.elements()), s0))
-        )
+        residual = ty.Prod((self.alg.derivative_config(t0, tags.elements()), s0))
         self.require_subtype(
             t0,
             residual,
@@ -574,7 +572,7 @@ class Checker:
                 pos,
             )
             return None
-        return normalize(base)
+        return base
 
     def check_closure_object(self, p: NewObj) -> TypeExpr:
         spec = p.closure
@@ -618,7 +616,7 @@ class Checker:
                 captured_usage.append(param_decls[param])
                 env.pop(param, None)
             else:
-                captured_usage.append(normalize(env.pop(param, ty.ONE)))
+                captured_usage.append(env.pop(param, ty.ONE))
         for param in reply_params:
             self.check_obligation(param, self.decls[param], env, p.pos)
             env.pop(param, None)
@@ -634,9 +632,7 @@ class Checker:
                     p.pos,
                 )
         all_tags = Counter(m.tag for m in rule.pattern)
-        residual = normalize(
-            ty.Prod((self.alg.derivative_config(decl, all_tags.elements()), s0))
-        )
+        residual = ty.Prod((self.alg.derivative_config(decl, all_tags.elements()), s0))
         self.require_subtype(
             decl,
             residual,
@@ -663,7 +659,7 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
 
 
 def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
-    """Every object's normalized declared type, by node id, without full
+    """Every object's declared type, by node id, without full
     checking and without writing into the program, so the runtime executes
     checked and unchecked programs alike.  A continuation's type is resolved
     from its ClosureSpec, with CLOSURE argument types approximated by the
@@ -693,7 +689,7 @@ def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
         elif isinstance(p, NewObj):
             spec = p.closure
             if spec is None:
-                decl = p.decl  # normalized by the desugarer
+                decl = p.decl
             else:
                 kind, target, tag = spec.origin[:3]
                 slot = slot_of(decls.get(target, ty.ONE), tag)
@@ -709,7 +705,7 @@ def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
                     slot = slot_of(decl, m.tag)
                     for i, param in enumerate(m.params):
                         if slot is not None and i < len(slot.args):
-                            decls[param] = normalize(slot.args[i])
+                            decls[param] = slot.args[i]
                         else:
                             decls[param] = ty.ONE
                 resolve(rule.body)

@@ -32,7 +32,7 @@ from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
 from .runtime import RUNTIME_FAULTS, Soup, run
 from .semilinear import SubtypeEngine, joint_alphabet, live, parikh
-from .types import TypeAlgebra, TypeDeclError, normalize, render
+from .types import TypeAlgebra, TypeDeclError, render
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -53,19 +53,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="joinstate")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, runtime=False):
-        p.add_argument("--bound", type=int, default=4, metavar="K",
+        p.add_argument("--bound", type=_int_at_least(0), default=4, metavar="K",
                        help="coefficient bound for the subtype engine")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output on stdout")
         if runtime:
             p.add_argument("--seed", type=int, default=None, metavar="N",
                            help="scheduler seed (default: $JOINSTATE_SEED or 0)")
-            p.add_argument("--max-steps", type=int, default=100_000, metavar="N")
+            p.add_argument("--max-steps", type=_int_at_least(0), default=100_000,
+                           metavar="N")
             p.add_argument("--monitors", choices=("on", "off"), default="on")
 
     p_check = sub.add_parser("check", help="type-check a program")
@@ -95,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="run many seeds and summarize")
     p_fuzz.add_argument("input", type=pathlib.Path)
     common(p_fuzz, runtime=True)
-    p_fuzz.add_argument("--seeds", type=int, default=100, metavar="N",
+    p_fuzz.add_argument("--seeds", type=_int_at_least(1), default=100, metavar="N",
                         help="number of seeds to run (0..N-1)")
     p_fuzz.add_argument("--expect-violation", action="store_true",
                         help="the program is known bad; assert it misbehaves")
@@ -108,7 +120,14 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("JOINSTATE_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        print(f"joinstate: JOINSTATE_SEED must be an integer, got {env!r}",
+              file=sys.stderr)
+        sys.exit(EX_USAGE)
 
 
 def _load(path: pathlib.Path):
@@ -205,7 +224,6 @@ def _explain_type(args) -> int:
         print(f"joinstate: {exc}", file=sys.stderr)
         return EX_DATAERR
     alg = TypeAlgebra({})
-    t = normalize(t)
     info = {
         "type": render(t),
         "nullable": alg.nullable(t),

@@ -154,8 +154,7 @@ def rename(p: Process, mapping: dict[Name, Name]) -> Process:
 
 
 class Desugarer:
-    def __init__(self, table: dict[str, TypeExpr]):
-        self.table = table
+    def __init__(self):
         self._uid = 0
         self._node = 0
         # Class objects are replicated definitions in scope for the rest of
@@ -169,20 +168,6 @@ class Desugarer:
     def fresh_node(self) -> int:
         self._node += 1
         return self._node
-
-    def check_type(self, t: TypeExpr, pos: Pos):
-        """Reject references to undeclared type names."""
-        if isinstance(t, ty.Ref):
-            if t.name not in self.table:
-                raise DesugarError(f"unknown type name {t.name}", pos)
-        elif isinstance(t, ty.Msg):
-            for a in t.args:
-                self.check_type(a, pos)
-        elif isinstance(t, ty.Sum) or isinstance(t, ty.Prod):
-            for part in t.parts:
-                self.check_type(part, pos)
-        elif isinstance(t, ty.Star):
-            self.check_type(t.body, pos)
 
     # --- environment helpers ----------------------------------------------
 
@@ -453,7 +438,6 @@ class Desugarer:
                                 "annotation",
                                 pat.pos,
                             )
-                        self.check_type(ann, pat.pos)
                         anns.append(ann)
                     elif ann is not None:
                         raise DesugarError(
@@ -468,14 +452,13 @@ class Desugarer:
         return out, annotations
 
     def new_object(self, p: sf.SNew, env: dict[str, Expr]) -> Process:
-        self.check_type(p.type, p.pos)
         name = self.fresh(p.name)
         env2 = dict(env)
         env2[p.name] = Var(name)
         rules, _ = self.lower_rules(p.rules, env2, annotated=False)
         body = self.process(p.body, env2)
         return NewObj(
-            name, ty.normalize(p.type), rules, body, self.fresh_node(), False, None, p.pos
+            name, p.type, rules, body, self.fresh_node(), False, None, p.pos
         )
 
     def class_object(self, p: sf.SClass, env: dict[str, Expr]) -> Process:
@@ -492,7 +475,7 @@ class Desugarer:
         rules, annotations = self.lower_rules(p.rules, env2, annotated=True)
         for srule, anns in zip(p.rules, annotations):
             slots.append(ty.Msg(srule.pattern[0].tag, tuple(anns)))
-        decl = ty.normalize(ty.Star(ty.sum_of(slots)))
+        decl = ty.Star(ty.Sum(slots))
         body = self.process(p.body, env2)
         return NewObj(
             name, decl, rules, body, self.fresh_node(), True, None, p.pos
@@ -501,7 +484,12 @@ class Desugarer:
 
 def desugar(ast: sf.SurfaceAST, source_name: str = "<input>") -> CoreProgram:
     table = ty.resolve_types(ast.type_decls)
-    d = Desugarer(table)
+    # Checked on the names as read: a constructor may already have dropped
+    # a reference, as in `#Missing . 0`.
+    for name, pos in ast.type_refs:
+        if name not in table:
+            raise DesugarError(f"unknown type name {name}", pos)
+    d = Desugarer()
     env: dict[str, Expr] = {"System": Var(SYSTEM), "Number": Var(NUMBER_OBJ)}
     return CoreProgram(table, d.process(ast.process, env), source_name)
 

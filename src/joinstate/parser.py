@@ -156,6 +156,8 @@ class SIf(SProc):
 class SurfaceAST:
     type_decls: list[tuple[str, TypeExpr]]
     process: SProc
+    # Every declared-type name read in a type, where it was read.
+    type_refs: list[tuple[str, Pos]]
 
 
 # --- lexer ----------------------------------------------------------------
@@ -294,6 +296,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.type_refs: list[tuple[str, Pos]] = []
 
     def enter(self):
         self.depth += 1
@@ -353,6 +356,7 @@ class _Parser:
             self.advance()
             if t.text in ty.BUILTIN_TYPES:
                 return ty.BUILTIN_TYPES[t.text]
+            self.type_refs.append((t.text, t.pos))
             return ty.Ref(t.text)
         if t.kind == "uident":
             self.advance()
@@ -389,7 +393,7 @@ class _Parser:
                 break
         proc = self.process()
         self.expect("eof", "end of input")
-        return SurfaceAST(decls, proc)
+        return SurfaceAST(decls, proc, self.type_refs)
 
     @_nested
     def process(self) -> SProc:

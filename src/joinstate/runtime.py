@@ -22,7 +22,6 @@ to methods the builtin objects lack end the run as a RuntimeFault.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import Counter
@@ -82,9 +81,9 @@ class Instance:
     mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
     # Per rule, the number of distinct selections the mailbox allows.
     weights: list[int] = field(default_factory=list)
-    # Monitor state of the declared type derived by every tag in the
-    # mailbox (tracked only when monitors are on).
-    residual: int = 0
+    # The declared type derived by every tag in the mailbox (tracked only
+    # when monitors are on).
+    residual: Optional[TypeExpr] = None
 
     def tags(self) -> list[str]:
         """The mailbox's tags, one per message, sorted."""
@@ -163,15 +162,8 @@ class Soup:
         self._enabled = _Fenwick()
         # An ordered set, so monitors run in a seed-determined order.
         self._touched: dict[Instance, None] = {}
-        # Monitors run each declared protocol as a lazily built automaton
-        # of derivatives: a residual type is interned as an integer state,
-        # so following a message is one dict lookup.
-        self._types: list[TypeExpr] = []
-        self._state_of: dict[TypeExpr, int] = {}
-        self._usable: list[bool] = []
-        self._delta: dict[tuple[int, str], int] = {}
-        # (node id, per-tag message counts) -> state, for consumption.
-        self._residuals: dict[tuple[int, tuple], int] = {}
+        # (node id, per-tag message counts) -> residual, for consumption.
+        self._residuals: dict[tuple[int, tuple], TypeExpr] = {}
         self._needs: dict[int, list[list[tuple[str, int]]]] = {}
         self.heat(program.process, {SYSTEM: SYSTEM_ID, NUMBER_OBJ: NUMBER_ID})
         self.settle()
@@ -249,7 +241,7 @@ class Soup:
         msgs = inst.mailbox.setdefault(msg[0], {})
         msgs[msg] = msgs.get(msg, 0) + 1
         if self.monitors:
-            inst.residual = self._derive(inst.residual, msg[0])
+            inst.residual = self.alg.derivative(inst.residual, msg[0])
         self._touched[inst] = None
 
     def eval(self, e: Expr, env: dict[Name, Value]) -> Value:
@@ -296,15 +288,14 @@ class Soup:
     # --- monitors -----------------------------------------------------------
 
     def monitor(self, inst: Instance):
-        if not self._usable[inst.residual]:
+        if not self.alg.usable(inst.residual):
             self.violation = (
                 f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
                 f"outside its protocol {ty.render(inst.decl)}"
             )
 
-    def residual(self, inst: Instance) -> int:
-        """The state of the declared type derived afresh by the mailbox's
-        tags."""
+    def residual(self, inst: Instance) -> TypeExpr:
+        """The declared type derived afresh by the mailbox's tags."""
         key = (
             id(inst.node),
             tuple(
@@ -314,26 +305,8 @@ class Soup:
         )
         out = self._residuals.get(key)
         if out is None:
-            out = self._state(inst.decl)
-            for tag in inst.tags():
-                out = self._derive(out, tag)
+            out = self.alg.derivative_config(inst.decl, inst.tags())
             self._residuals[key] = out
-        return out
-
-    def _state(self, t: TypeExpr) -> int:
-        state = self._state_of.get(t)
-        if state is None:
-            state = self._state_of[t] = len(self._types)
-            self._types.append(t)
-            self._usable.append(self.alg.usable(t))
-        return state
-
-    def _derive(self, state: int, tag: str) -> int:
-        out = self._delta.get((state, tag))
-        if out is None:
-            out = self._delta[state, tag] = self._state(
-                self.alg.derivative(self._types[state], tag)
-            )
         return out
 
     # --- reactions ----------------------------------------------------------
@@ -469,9 +442,8 @@ class Soup:
             )
         if stuck or not self.monitors:
             return stuck
-        nullable = functools.cache(lambda s: self.alg.nullable(self._types[s]))
         for inst in self.instances:
-            if not nullable(inst.residual):
+            if not self.alg.nullable(inst.residual):
                 self.violation = (
                     f"{inst.oid!r} ends with messages "
                     f"[{','.join(inst.tags())}], short of a whole "
@@ -483,7 +455,7 @@ class Soup:
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
         re-typing invariant the scheduler is expected to preserve."""
-        return all(self._usable[self.residual(inst)] for inst in self.instances)
+        return all(self.alg.usable(self.residual(inst)) for inst in self.instances)
 
 
 def run(

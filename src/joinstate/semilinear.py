@@ -25,15 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .types import (
-    Config,
-    Msg,
-    TypeAlgebra,
-    TypeExpr,
-    Zero,
-    normalize,
-    sort_key,
-)
+from .types import Config, Msg, TypeAlgebra, TypeExpr, sort_key
 
 Vector = tuple[int, ...]
 
@@ -44,7 +36,7 @@ class LinearSet:
     periods: frozenset[Vector]
 
 
-# A slot is a normalized message type; the alphabet fixes coordinate order.
+# A slot is a message type; the alphabet fixes coordinate order.
 Alphabet = tuple[Msg, ...]
 
 
@@ -121,15 +113,14 @@ def parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet]
     index = {m: i for i, m in enumerate(alphabet)}
 
     def go(t: TypeExpr) -> list[LinearSet]:
-        t = normalize(t)
         heads = alg.heads(t)
         if not heads:
-            # Zero has no configurations; everything else message-free is just 1.
-            if isinstance(t, Zero) or not alg.usable(t):
+            # 0, or a name for it, has no configurations; the rest are just 1.
+            if not alg.usable(t):
                 return []
             return [LinearSet(_zero(n), frozenset())]
         if isinstance(t, Msg):
-            unit = tuple(1 if i == index[normalize(t)] else 0 for i in range(n))
+            unit = tuple(1 if i == index[t] else 0 for i in range(n))
             return [LinearSet(unit, frozenset())]
         kind = type(t).__name__
         if kind == "Sum":
@@ -255,7 +246,6 @@ class SubtypeEngine:
         self._parikh: dict[tuple[TypeExpr, Alphabet], list[LinearSet]] = {}
 
     def subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
-        t, s = normalize(t), normalize(s)
         key = (t, s)
         if key in self._cache:
             return self._cache[key]
@@ -536,7 +526,6 @@ TagMultiset = Mapping[str, int]
 def live(alg: TypeAlgebra, t: TypeExpr, patterns: Iterable[TagMultiset]) -> bool:
     """Whether every configuration of t that triggers none of the given
     pattern tag multisets carries only irrelevant-argument messages."""
-    t = normalize(t)
     alphabet = joint_alphabet(alg, t)
     relevant_slots = [
         i
@@ -606,7 +595,6 @@ DEAD = ArgVerdict("dead")
 def arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerdict:
     """Resolve a tag multiset against t: which message types must those tags
     denote in any configuration extending the multiset?"""
-    t = normalize(t)
     alphabet = joint_alphabet(alg, t)
     n = len(alphabet)
     tag_slots: dict[str, list[int]] = {}

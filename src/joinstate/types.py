@@ -10,6 +10,12 @@ concurrently targeted at an object:
     t . s       both t and s, by possibly concurrent senders
     *t          any number of interleaved copies of t
 
+Terms are canonical when built.  Each constructor flattens, sorts and applies
+the unit and absorption laws, then interns the result (hash-consing,
+Filliatre & Conchon 2006), so equal types are one object: `==` and `hash`
+go by identity, and every memo keyed on a type is sound.  `normalize` is the
+identity, kept for outside callers.
+
 Recursion goes through a table of named definitions; reference cycles are
 only allowed through message-argument positions (contractiveness), so every
 type has a finite head unfolding.
@@ -17,6 +23,8 @@ type has a finite head unfolding.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -25,52 +33,145 @@ class TypeDeclError(Exception):
     """Raised for ill-formed type declarations (unknown name, head cycle, ...)."""
 
 
-@dataclass(frozen=True)
 class TypeExpr:
-    __slots__ = ()
+    """A canonical type term, built only through its subclasses' constructors.
+
+    A constructor returns the one live instance of its normal form, which
+    may belong to another subclass (`Prod((t, ONE))` is `t`).  Each term
+    computes its sort key once, at construction."""
+
+    __slots__ = ("_key", "__weakref__")
 
 
-@dataclass(frozen=True)
+# Every live term, by class and fields.  Entries go when nothing else
+# references the term, so the table never outgrows the types in use.
+_TERMS: weakref.WeakValueDictionary[tuple, TypeExpr] = weakref.WeakValueDictionary()
+
+
+def _intern(cls: type, fields: tuple, key: tuple) -> TypeExpr:
+    """The one instance of cls with these fields, which must be canonical."""
+    ident = (cls, *fields)
+    t = _TERMS.get(ident)
+    if t is None:
+        t = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(t, name, value)
+        object.__setattr__(t, "_key", key)
+        _TERMS[ident] = t
+    return t
+
+
+# Terms order by class (0, 1, #Base, Msg, #Ref, *t, products, sums), then
+# by their fields.
+sort_key = operator.attrgetter("_key")
+
+# The constructors are __new__ alone (init=False): Python would otherwise
+# run a generated __init__ over an interned instance it returns.
+_term = dataclass(frozen=True, eq=False, init=False)
+
+
+@_term
 class Zero(TypeExpr):
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern(cls, (), (0,))
 
-@dataclass(frozen=True)
+
+@_term
 class One(TypeExpr):
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern(cls, (), (1,))
 
-@dataclass(frozen=True)
+
+@_term
 class Base(TypeExpr):
     """A builtin value type (numbers, booleans): usable, nullable, no messages."""
 
+    __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name: str):
+        return _intern(cls, (name,), (2, name))
 
-@dataclass(frozen=True)
+
+@_term
 class Msg(TypeExpr):
+    __slots__ = ("tag", "args")
     tag: str
-    args: tuple[TypeExpr, ...] = ()
+    args: tuple[TypeExpr, ...]
+
+    def __new__(cls, tag: str, args: Iterable[TypeExpr] = ()):
+        args = tuple(args)
+        return _intern(cls, (tag, args), (3, tag, tuple(a._key for a in args)))
 
 
-@dataclass(frozen=True)
-class Sum(TypeExpr):
-    parts: tuple[TypeExpr, ...]
+@_term
+class Ref(TypeExpr):
+    __slots__ = ("name",)
+    name: str
+
+    def __new__(cls, name: str):
+        return _intern(cls, (name,), (4, name))
 
 
-@dataclass(frozen=True)
-class Prod(TypeExpr):
-    parts: tuple[TypeExpr, ...]
-
-
-@dataclass(frozen=True)
+@_term
 class Star(TypeExpr):
+    __slots__ = ("body",)
     body: TypeExpr
 
+    def __new__(cls, body: TypeExpr):
+        if isinstance(body, (Zero, One, Base)):
+            return ONE
+        if isinstance(body, Star):
+            return body
+        return _intern(cls, (body,), (5, body._key))
 
-@dataclass(frozen=True)
-class Ref(TypeExpr):
-    name: str
+
+@_term
+class Prod(TypeExpr):
+    __slots__ = ("parts",)
+    parts: tuple[TypeExpr, ...]
+
+    def __new__(cls, parts: Iterable[TypeExpr]):
+        flat: list[TypeExpr] = []
+        for p in parts:
+            if isinstance(p, Zero):
+                return ZERO
+            if isinstance(p, Prod):
+                flat.extend(p.parts)
+            elif not isinstance(p, One):
+                flat.append(p)
+        if len(flat) > 1:
+            flat = [p for p in flat if not isinstance(p, Base)]
+        if not flat:
+            return ONE
+        if len(flat) == 1:
+            return flat[0]
+        flat.sort(key=sort_key)
+        return _intern(cls, (tuple(flat),), (6, tuple(p._key for p in flat)))
+
+
+@_term
+class Sum(TypeExpr):
+    __slots__ = ("parts",)
+    parts: tuple[TypeExpr, ...]
+
+    def __new__(cls, parts: Iterable[TypeExpr]):
+        flat: set[TypeExpr] = set()
+        for p in parts:
+            if isinstance(p, Sum):
+                flat.update(p.parts)
+            elif not isinstance(p, Zero):
+                flat.add(p)
+        if not flat:
+            return ZERO
+        if len(flat) == 1:
+            return flat.pop()
+        uniq = sorted(flat, key=sort_key)
+        return _intern(cls, (tuple(uniq),), (7, tuple(p._key for p in uniq)))
 
 
 ZERO = Zero()
@@ -80,86 +181,11 @@ BOOL = Base("#Bool")
 
 BUILTIN_TYPES: dict[str, TypeExpr] = {"#Number": NUMBER, "#Bool": BOOL}
 
-_RANK = {Zero: 0, One: 1, Base: 2, Msg: 3, Ref: 4, Star: 5, Prod: 6, Sum: 7}
-
-
-def sort_key(t: TypeExpr):
-    r = _RANK[type(t)]
-    if isinstance(t, (Zero, One)):
-        return (r,)
-    if isinstance(t, Base):
-        return (r, t.name)
-    if isinstance(t, Msg):
-        return (r, t.tag, tuple(sort_key(a) for a in t.args))
-    if isinstance(t, Ref):
-        return (r, t.name)
-    if isinstance(t, Star):
-        return (r, sort_key(t.body))
-    return (r, tuple(sort_key(p) for p in t.parts))
-
-
-def sum_of(parts: Iterable[TypeExpr]) -> TypeExpr:
-    return normalize(Sum(tuple(parts)))
-
-
-def prod_of(parts: Iterable[TypeExpr]) -> TypeExpr:
-    return normalize(Prod(tuple(parts)))
-
 
 def normalize(t: TypeExpr) -> TypeExpr:
-    """Canonical form: flattened, sorted, with the unit/absorbing laws applied.
-
-    Normalization preserves the configuration semantics; it is idempotent and
-    gives deterministic keys for memoization.
-    """
-    if isinstance(t, (Zero, One, Base, Ref)):
-        return t
-    if isinstance(t, Msg):
-        return Msg(t.tag, tuple(normalize(a) for a in t.args))
-    if isinstance(t, Star):
-        body = normalize(t.body)
-        if isinstance(body, (Zero, One, Base)):
-            return ONE
-        if isinstance(body, Star):
-            return body
-        return Star(body)
-    if isinstance(t, Prod):
-        flat: list[TypeExpr] = []
-        for p in t.parts:
-            p = normalize(p)
-            if isinstance(p, Zero):
-                return ZERO
-            if isinstance(p, One):
-                continue
-            if isinstance(p, Prod):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if len(flat) > 1:
-            flat = [p for p in flat if not isinstance(p, Base)]
-        if not flat:
-            return ONE
-        if len(flat) == 1:
-            return flat[0]
-        flat.sort(key=sort_key)
-        return Prod(tuple(flat))
-    if isinstance(t, Sum):
-        flat = []
-        for p in t.parts:
-            p = normalize(p)
-            if isinstance(p, Zero):
-                continue
-            if isinstance(p, Sum):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        uniq = sorted(set(flat), key=sort_key)
-        if not uniq:
-            return ZERO
-        if len(uniq) == 1:
-            return uniq[0]
-        return Sum(tuple(uniq))
-    raise TypeError(f"not a type expression: {t!r}")
+    """The canonical form of t, which is t itself: the constructors already
+    flatten, sort and apply the unit and absorbing laws."""
+    return t
 
 
 def render(t: TypeExpr, *, parens: bool = False) -> str:
@@ -221,7 +247,7 @@ def resolve_types(decls: Iterable[tuple[str, TypeExpr]]) -> dict[str, TypeExpr]:
     for name, expr in decls:
         if name in table:
             raise TypeDeclError(f"duplicate type declaration {name}")
-        table[name] = normalize(expr)
+        table[name] = expr
 
     for name, expr in table.items():
         for ref in _refs(expr, head_only=False):
@@ -251,14 +277,14 @@ def resolve_types(decls: Iterable[tuple[str, TypeExpr]]) -> dict[str, TypeExpr]:
 
 
 # A configuration is a multiset of message types, kept as a sorted tuple of
-# normalized Msg nodes.
+# Msg terms.
 Config = tuple[Msg, ...]
 
 EMPTY_CONFIG: Config = ()
 
 
 def config_of(msgs: Iterable[Msg]) -> Config:
-    return tuple(sorted((normalize(m) for m in msgs), key=sort_key))  # type: ignore[arg-type]
+    return tuple(sorted(msgs, key=sort_key))
 
 
 class TypeAlgebra:
@@ -271,8 +297,9 @@ class TypeAlgebra:
     def __init__(self, table: dict[str, TypeExpr] | None = None):
         self.table: dict[str, TypeExpr] = dict(BUILTIN_TYPES)
         if table:
-            self.table.update({k: normalize(v) for k, v in table.items()})
+            self.table.update(table)
         self._nullable: dict[TypeExpr, bool] = {}
+        self._usable: dict[TypeExpr, bool] = {}
         self._heads: dict[TypeExpr, frozenset[Msg]] = {}
         self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
@@ -310,17 +337,23 @@ class TypeAlgebra:
 
     def usable(self, t: TypeExpr) -> bool:
         """Whether at least one valid configuration exists."""
+        cached = self._usable.get(t)
+        if cached is not None:
+            return cached
         if isinstance(t, Ref):
-            return self.usable(self.unfold(t))
-        if isinstance(t, Zero):
-            return False
-        if isinstance(t, (One, Base, Msg, Star)):
-            return True
-        if isinstance(t, Sum):
-            return any(self.usable(p) for p in t.parts)
-        if isinstance(t, Prod):
-            return all(self.usable(p) for p in t.parts)
-        raise TypeError(f"not a type expression: {t!r}")
+            r = self.usable(self.unfold(t))
+        elif isinstance(t, Zero):
+            r = False
+        elif isinstance(t, (One, Base, Msg, Star)):
+            r = True
+        elif isinstance(t, Sum):
+            r = any(self.usable(p) for p in t.parts)
+        elif isinstance(t, Prod):
+            r = all(self.usable(p) for p in t.parts)
+        else:
+            raise TypeError(f"not a type expression: {t!r}")
+        self._usable[t] = r
+        return r
 
     def heads(self, t: TypeExpr) -> frozenset[Msg]:
         """All message types in the head unfolding (argument positions excluded)."""
@@ -330,7 +363,7 @@ class TypeAlgebra:
         if isinstance(t, (Zero, One, Base)):
             r: frozenset[Msg] = frozenset()
         elif isinstance(t, Msg):
-            r = frozenset({normalize(t)})  # type: ignore[arg-type]
+            r = frozenset({t})
         elif isinstance(t, Star):
             r = self.heads(t.body)
         elif isinstance(t, (Sum, Prod)):
@@ -345,23 +378,18 @@ class TypeAlgebra:
     def derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
         """Residual protocol after one message (Brzozowski 1964).  Given a
         tag, any message with that tag matches; given a message type, only
-        messages equal to it after normalization do."""
-        t = normalize(t)
-        if isinstance(a, Msg):
-            a = normalize(a)
+        messages equal to it do."""
         key = (t, a)
         cached = self._deriv.get(key)
-        if cached is not None:
-            return cached
-        r = normalize(self._derivative(t, a))
-        self._deriv[key] = r
-        return r
+        if cached is None:
+            cached = self._deriv[key] = self._derivative(t, a)
+        return cached
 
     def _derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
         if isinstance(t, (Zero, One, Base)):
             return ZERO
         if isinstance(t, Msg):
-            hit = t.tag == a if isinstance(a, str) else normalize(t) == a
+            hit = t.tag == a if isinstance(a, str) else t == a
             return ONE if hit else ZERO
         if isinstance(t, Sum):
             return Sum(tuple(self._derivative(p, a) for p in t.parts))
@@ -378,15 +406,13 @@ class TypeAlgebra:
         raise TypeError(f"not a type expression: {t!r}")
 
     def derivative_config(self, t: TypeExpr, tags: Iterable[str]) -> TypeExpr:
-        r = normalize(t)
         for tag in tags:
-            r = self.derivative(r, tag)
-        return r
+            t = self.derivative(t, tag)
+        return t
 
     def enumerate_configs(self, t: TypeExpr, max_size: int) -> frozenset[Config]:
         """All valid configurations with at most max_size messages, computed by
         breadth-first search over derivatives by whole messages."""
-        t = normalize(t)
         key = (t, max_size)
         cached = self._enum.get(key)
         if cached is not None:

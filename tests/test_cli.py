@@ -17,25 +17,48 @@ def path(rel):
     return str(PROGRAMS / rel)
 
 
+# A rule that uses four objects of the enclosing scope, two per branch.
+OUTER_SCOPE = """
+new a : *Ping [ Ping |> done ] in
+new b : *Ping [ Ping |> done ] in
+new c : *Ping [ Ping |> done ] in
+new d : *Ping [ Ping |> done ] in
+new o : Go(#Number) [
+    Go(n) |> if n < 1 then a!Ping & b!Ping else c!Ping & d!Ping
+] in o!Go(0)
+"""
+
+
+def assert_usage_error(argv, capsys, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert message in capsys.readouterr().err
+
+
 class TestCheck:
     def test_accepted_exits_zero(self, capsys):
         assert main(["check", path("accepted/future-user.cob")]) == 0
 
-    def test_json_does_not_depend_on_hash_seed(self):
-        # Dependency clashes are found by walking sets of names, whose
-        # iteration order follows the per-process string hash seed.
+    def test_json_does_not_depend_on_hash_seed(self, tmp_path):
+        # Dependency clashes and names used from an enclosing scope are
+        # found by walking collections of names, whose set iteration order
+        # would follow the per-process string hash seed.
+        outer = tmp_path / "outer-scope.cob"
+        outer.write_text(OUTER_SCOPE)
         src = str(PROGRAMS.parent / "src")
-        outputs = set()
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "joinstate.cli", "check", "--json",
-                 path("rejected/future-user-deadlock.cob")],
-                capture_output=True, text=True, env=env, check=False,
-            )
-            assert proc.returncode == 1, proc.stderr
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1
+        for program in (path("rejected/future-user-deadlock.cob"), str(outer)):
+            outputs = set()
+            for seed in ("0", "1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "joinstate.cli", "check", "--json",
+                     program],
+                    capture_output=True, text=True, env=env, check=False,
+                )
+                assert proc.returncode == 1, proc.stderr
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1, program
 
     def test_rejected_exits_one_with_diagnostic(self, capsys):
         code = main(["check", path("rejected/future-user-deadlock.cob")])
@@ -52,6 +75,12 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", path("no-such-file.cob")])
         assert exc.value.code == 64
+
+    def test_negative_bound_is_usage_error(self, capsys):
+        assert_usage_error(
+            ["check", path("accepted/pi.cob"), "--bound", "-1"],
+            capsys, "--bound: must be at least 0",
+        )
 
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -149,6 +178,19 @@ class TestRun:
         monkeypatch.setenv("JOINSTATE_SEED", "5")
         assert main(["run", path("accepted/future-user.cob")]) == 0
 
+    def test_seed_env_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("JOINSTATE_SEED", "abc")
+        assert_usage_error(
+            ["run", path("accepted/future-user.cob")],
+            capsys, "JOINSTATE_SEED must be an integer",
+        )
+
+    def test_negative_max_steps_is_usage_error(self, capsys):
+        assert_usage_error(
+            ["run", path("accepted/future-user.cob"), "--max-steps", "-1"],
+            capsys, "--max-steps: must be at least 0",
+        )
+
 
 class TestExplain:
     def test_program_listing(self, capsys):
@@ -185,6 +227,12 @@ class TestFuzz:
         assert data["ok"] is True
         assert data["verdicts"] == {"Terminated": 8}
         assert data["violations"] == 0
+
+    def test_no_seeds_is_usage_error(self, capsys):
+        assert_usage_error(
+            ["fuzz", path("accepted/future-class.cob"), "--seeds", "-3"],
+            capsys, "--seeds: must be at least 1",
+        )
 
     def test_rejected_program_needs_flag(self, capsys):
         assert main(["fuzz", path("rejected/future-user-deadlock.cob")]) == 1

@@ -81,6 +81,17 @@ class TestBasics:
         with pytest.raises(DesugarError, match="unknown type name"):
             load_program("new a : #Missing [ A |> done ] in a!A")
 
+    @pytest.mark.parametrize(
+        "src,where",
+        [
+            ("new a : #Missing . 0 [ A |> done ] in done", "1:9"),
+            ("type #T = #Missing . 0\nnew a : #T [ A |> done ] in done", "1:11"),
+        ],
+    )
+    def test_unknown_type_rejected_where_zero_absorbs_it(self, src, where):
+        with pytest.raises(DesugarError, match=f"{where}: unknown type name #Missing"):
+            load_program(src)
+
     def test_pure_let_substitutes(self):
         prog = load_program("let x = 1 + 2 in System!Print(x)")
         send = prog.process

@@ -1,7 +1,12 @@
 """Tests for the behavioral type algebra: normalization, derivatives, enumeration."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from joinstate import types
 from joinstate.types import (
     BOOL,
     NUMBER,
@@ -17,10 +22,8 @@ from joinstate.types import (
     TypeDeclError,
     config_of,
     normalize,
-    prod_of,
     render,
     resolve_types,
-    sum_of,
 )
 
 
@@ -93,6 +96,38 @@ class TestNormalize:
         left = normalize(Sum((Prod((A, B)), Prod((A, C)))))
         right = normalize(Prod((A, Sum((B, C)))))
         assert left != right
+
+
+class TestInterning:
+    def test_equal_sums_are_one_object(self):
+        s = Sum((B, A))
+        assert s is Sum((A, B))
+        # Returning the interned instance must not reset its fields.
+        assert s.parts == (A, B)
+
+    def test_unit_is_dropped_at_construction(self):
+        assert Prod((A, ONE)) is A
+
+    def test_star_of_star_is_the_star(self):
+        assert Star(Star(A)) is Star(A)
+
+    def test_table_drops_unreferenced_terms(self):
+        t = Msg("Unshared", (Msg("Inner"),))
+        ref = weakref.ref(t)
+        before = len(types._TERMS)
+        del t
+        gc.collect()
+        assert ref() is None
+        assert len(types._TERMS) <= before - 2
+
+    def test_terms_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            A.tag = "B"
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(Msg("A", (NUMBER,))) == (
+            "Msg(tag='A', args=(Base(name='#Number'),))"
+        )
 
 
 class TestNullableUsable:
@@ -236,5 +271,5 @@ class TestRender:
         assert render(ZERO) == "0" and render(ONE) == "1"
 
     def test_sum_and_prod_helpers(self):
-        assert sum_of([A, ZERO]) == A
-        assert prod_of([A, ONE]) == A
+        assert Sum([A, ZERO]) == A
+        assert Prod([A, ONE]) == A

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("input", type=pathlib.Path)
     common(p_fuzz, runtime=True)
     p_fuzz.add_argument("--seeds", type=_int_at_least(1), default=100, metavar="N",
-                        help="number of seeds to run (0..N-1)")
+                        help="number of seeds to run, from --seed on")
     p_fuzz.add_argument("--expect-violation", action="store_true",
                         help="the program is known bad; assert it misbehaves")
     p_fuzz.add_argument("--check-solution", action="store_true",
@@ -302,7 +302,8 @@ def cmd_fuzz(args) -> int:
     verdicts: Counter = Counter()
     violations = 0
     invariant_failures = 0
-    for seed in range(args.seeds):
+    first = _seed(args)
+    for seed in range(first, first + args.seeds):
         if args.check_solution:
             try:
                 soup = Soup(program, seed=seed, monitors=monitors)
@@ -331,6 +332,7 @@ def cmd_fuzz(args) -> int:
     summary = {
         "program": str(args.input),
         "seeds": args.seeds,
+        "firstSeed": first,
         "verdicts": dict(verdicts),
         "violations": violations,
         "invariantFailures": invariant_failures,

@@ -23,14 +23,14 @@ to methods the builtin objects lack end the run as a RuntimeFault.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from . import types as ty
-from .checker import BUILTIN_DECLS, resolve_closure_types
+from .checker import resolve_closure_types
 from .core import (
     NUMBER_OBJ,
     SYSTEM,
@@ -40,7 +40,6 @@ from .core import (
     Done,
     Expr,
     If,
-    Name,
     NewObj,
     NumLit,
     Par,
@@ -58,6 +57,9 @@ class ObjId:
     serial: int
     text: str = field(compare=False)
 
+    def __hash__(self):
+        return self.serial
+
     def __repr__(self):
         return f"{self.text}@{self.serial}"
 
@@ -67,15 +69,20 @@ NUMBER_ID = ObjId(-2, "Number")
 
 # A message is (tag, argument values); mailboxes collapse equal payloads.
 Message = tuple[str, tuple[Value, ...]]
+# Binder uid -> value.  Environments are never mutated once built, so the
+# closures below share them freely.
+Env = dict[int, Value]
+ProcCode = Callable[["Soup", Env], None]
 
 
 @dataclass(eq=False)
 class Instance:
     oid: ObjId
     node: NewObj
-    env: dict[Name, Value]
-    # Per rule, the (tag, copies) pairs its pattern needs, sorted by tag.
-    needs: list[list[tuple[str, int]]]
+    env: Env
+    # Per rule: the (tag, copies) pairs it needs, sorted by tag; each
+    # pattern message's tag and parameter uids; and its compiled body.
+    rules: list[tuple[list[tuple[str, int]], list, ProcCode]]
     decl: TypeExpr
     # tag -> distinct message -> multiplicity; tags with no messages absent.
     mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
@@ -164,8 +171,9 @@ class Soup:
         self._touched: dict[Instance, None] = {}
         # (node id, per-tag message counts) -> residual, for consumption.
         self._residuals: dict[tuple[int, tuple], TypeExpr] = {}
-        self._needs: dict[int, list[list[tuple[str, int]]]] = {}
-        self.heat(program.process, {SYSTEM: SYSTEM_ID, NUMBER_OBJ: NUMBER_ID})
+        _compile(program.process)(
+            self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
+        )
         self.settle()
 
     # --- tracing ------------------------------------------------------------
@@ -176,63 +184,30 @@ class Soup:
 
     # --- heating ------------------------------------------------------------
 
-    def heat(self, proc: Process, env: dict[Name, Value]):
-        stack: list[tuple[Process, dict[Name, Value]]] = [(proc, env)]
-        while stack:
-            p, env = stack.pop()
-            if isinstance(p, Done):
-                continue
-            if isinstance(p, Par):
-                stack.extend((q, env) for q in reversed(p.parts))
-            elif isinstance(p, If):
-                branch = p.then if self.eval(p.cond, env) else p.els
-                stack.append((branch, env))
-            elif isinstance(p, NewObj):
-                oid = self.spawn(p, env)
-                env2 = dict(env)
-                env2[p.name] = oid
-                stack.append((p.body, env2))
-            elif isinstance(p, Send):
-                self.send(p, env)
-            else:
-                raise TypeError(f"not a process: {p!r}")
-
-    def spawn(self, node: NewObj, env: dict[Name, Value]) -> ObjId:
+    def spawn(self, node: NewObj, rules: list, env: Env) -> Env:
+        """Create an object for node with its compiled rules; returns env
+        extended with it, the object's own env and its body's too."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
-        env2 = dict(env)
-        env2[node.name] = oid
-        needs = self._needs.get(id(node))
-        if needs is None:
-            needs = self._needs[id(node)] = [
-                sorted(Counter(m.tag for m in rule.pattern).items())
-                for rule in node.rules
-            ]
-        inst = Instance(oid, node, env2, needs, self.decls[node.node_id])
+        env = {**env, node.name.uid: oid}
+        inst = Instance(oid, node, env, rules, self.decls[node.node_id])
         if self.monitors:
             inst.residual = self.residual(inst)
         self.instances.append(inst)
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:
             self.emit("new", repr(oid), "", ty.render(inst.decl))
-        return oid
+        return env
 
-    def send(self, p: Send, env: dict[Name, Value]):
-        target = env[p.target]
-        for m in p.molecule:
-            args = tuple(self.eval(a, env) for a in m.args)
-            if target is SYSTEM_ID:
-                if m.tag == "Print" and len(args) == 1:
-                    self.outputs.append(args[0])
-                    self.emit("print", "System", m.tag, _fmt(args[0]))
-                    continue
-                raise RuntimeError_(f"System has no method {m.tag}/{len(args)}")
-            if target is NUMBER_ID:
-                if m.tag == "Pow" and len(args) == 3:
-                    base, exp, reply = args
-                    self.deliver(reply, ("Reply", (float(base) ** float(exp),)))
-                    continue
-                raise RuntimeError_(f"Number has no method {m.tag}/{len(args)}")
-            self.deliver(target, (m.tag, args))
+    def call_builtin(self, target: ObjId, msg: Message):
+        tag, args = msg
+        if target is SYSTEM_ID and tag == "Print" and len(args) == 1:
+            self.outputs.append(args[0])
+            self.emit("print", "System", tag, _fmt(args[0]))
+        elif target is NUMBER_ID and tag == "Pow" and len(args) == 3:
+            base, exp, reply = args
+            self.deliver(reply, ("Reply", (float(base) ** float(exp),)))
+        else:
+            raise RuntimeError_(f"{target.text} has no method {tag}/{len(args)}")
 
     def deliver(self, target: Value, msg: Message):
         if not isinstance(target, ObjId) or target.serial < 1:
@@ -244,65 +219,13 @@ class Soup:
             inst.residual = self.alg.derivative(inst.residual, msg[0])
         self._touched[inst] = None
 
-    def eval(self, e: Expr, env: dict[Name, Value]) -> Value:
-        if isinstance(e, NumLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, BinOp):
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            op = e.op
-            # Only an unchecked program gets here with an object operand.
-            try:
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                if op == "/":
-                    return a / b
-                if op == "%":
-                    return math.fmod(a, b)
-                if op == "==":
-                    return a == b
-                if op == "!=":
-                    return a != b
-                if op == "<":
-                    return a < b
-                if op == "<=":
-                    return a <= b
-                if op == ">":
-                    return a > b
-                if op == ">=":
-                    return a >= b
-            except TypeError:
-                raise RuntimeError_(
-                    f"cannot apply {op} to {_fmt(a)} and {_fmt(b)}"
-                ) from None
-        raise TypeError(f"not an expression: {e!r}")
-
     # --- monitors -----------------------------------------------------------
-
-    def monitor(self, inst: Instance):
-        if not self.alg.usable(inst.residual):
-            self.violation = (
-                f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
-                f"outside its protocol {ty.render(inst.decl)}"
-            )
 
     def residual(self, inst: Instance) -> TypeExpr:
         """The declared type derived afresh by the mailbox's tags."""
-        key = (
-            id(inst.node),
-            tuple(
-                (tag, sum(inst.mailbox[tag].values()))
-                for tag in sorted(inst.mailbox)
-            ),
-        )
+        key = (id(inst.node), tuple(
+            (tag, sum(msgs.values())) for tag, msgs in sorted(inst.mailbox.items())
+        ))
         out = self._residuals.get(key)
         if out is None:
             out = self.alg.derivative_config(inst.decl, inst.tags())
@@ -315,7 +238,7 @@ class Soup:
         """Re-weigh the objects whose mailbox changed and run monitors."""
         for inst in self._touched:
             weights = []
-            for need in inst.needs:
+            for need, _, _ in inst.rules:
                 w = 1
                 for tag, k in need:
                     msgs = inst.mailbox.get(tag)
@@ -328,8 +251,12 @@ class Soup:
             if delta:
                 self._enabled.add(inst.oid.serial, delta)
             inst.weights = weights
-            if self.monitors and self.violation is None:
-                self.monitor(inst)
+            if (self.monitors and self.violation is None
+                    and not self.alg.usable(inst.residual)):
+                self.violation = (
+                    f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
+                    f"outside its protocol {ty.render(inst.decl)}"
+                )
         self._touched.clear()
 
     def enabled_count(self) -> int:
@@ -351,7 +278,7 @@ class Soup:
         # r now indexes the rule's selections in mixed radix, one digit per
         # needed tag.
         selection: list[tuple[Message, int]] = []
-        for tag, k in inst.needs[rule_idx]:
+        for tag, k in inst.rules[rule_idx][0]:
             msgs = inst.mailbox[tag]
             if k == 1:
                 r, j = divmod(r, len(msgs))
@@ -369,10 +296,10 @@ class Soup:
         inst, rule_idx, selection = self.reaction(
             self.rng.randrange(self._enabled.total)
         )
-        rule = inst.node.rules[rule_idx]
         self.steps += 1
 
-        consumed: list[Message] = []
+        # The consumed messages by tag, in selection order.
+        by_tag: dict[str, list[Message]] = {}
         for msg, count in selection:
             msgs = inst.mailbox[msg[0]]
             left = msgs[msg] - count
@@ -382,30 +309,26 @@ class Soup:
                 del msgs[msg]
                 if not msgs:
                     del inst.mailbox[msg[0]]
-            consumed.extend([msg] * count)
+            by_tag.setdefault(msg[0], []).extend([msg] * count)
         if self.monitors:
             inst.residual = self.residual(inst)
         self._touched[inst] = None
 
-        env = dict(inst.env)
-        by_tag: dict[str, list[Message]] = {}
-        for msg in consumed:
-            by_tag.setdefault(msg[0], []).append(msg)
-        for pat in rule.pattern:
-            msg = by_tag[pat.tag].pop()
-            for param, value in zip(pat.params, msg[1]):
-                env[param] = value
+        _, binders, body = inst.rules[rule_idx]
         if self.tracing:
             self.emit(
                 "react",
                 repr(inst.oid),
-                ",".join(m.tag for m in rule.pattern),
+                ",".join(tag for tag, _ in binders),
                 " ".join(
                     f"{t}({', '.join(_fmt(v) for v in vs)})"
-                    for t, vs in consumed
+                    for msgs in by_tag.values() for t, vs in msgs
                 ),
             )
-        self.heat(rule.body, env)
+        env = dict(inst.env)
+        for tag, params in binders:
+            env.update(zip(params, by_tag[tag].pop()[1]))
+        body(self, env)
         self.settle()
         return True
 
@@ -492,6 +415,84 @@ def run(
     )
 
 
+# --- compilation ------------------------------------------------------------
+#
+# A process compiles to a closure taking (soup, env) and an expression to
+# one taking env (Feeley & Lapalme 1987).  Closures run the parts of a
+# process depth first, left to right, so serials, mailbox order and with
+# them the RNG draws follow the order of the source.
+
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": math.fmod,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compile(p: Process) -> ProcCode:
+    if isinstance(p, Send):
+        uid = p.target.uid
+        molecule = [(m.tag, [_compile_expr(a) for a in m.args]) for m in p.molecule]
+
+        def send(soup, env):
+            target = env[uid]
+            builtin = target is SYSTEM_ID or target is NUMBER_ID
+            deliver = soup.call_builtin if builtin else soup.deliver
+            for tag, args in molecule:
+                deliver(target, (tag, tuple([a(env) for a in args])))
+
+        return send
+    if isinstance(p, Par):
+        parts = [_compile(q) for q in p.parts]
+
+        def par(soup, env):
+            for part in parts:
+                part(soup, env)
+
+        return par
+    if isinstance(p, NewObj):
+        rules = []
+        for r in p.rules:
+            tags = [m.tag for m in r.pattern]
+            needs = sorted({tag: tags.count(tag) for tag in tags}.items())
+            binders = [(m.tag, [n.uid for n in m.params]) for m in r.pattern]
+            rules.append((needs, binders, _compile(r.body)))
+        body = _compile(p.body)
+        return lambda soup, env: body(soup, soup.spawn(p, rules, env))
+    if isinstance(p, If):
+        cond, then, els = _compile_expr(p.cond), _compile(p.then), _compile(p.els)
+        return lambda soup, env: (then if cond(env) else els)(soup, env)
+    if isinstance(p, Done):
+        return lambda soup, env: None
+    raise TypeError(f"not a process: {p!r}")
+
+
+def _compile_expr(e: Expr) -> Callable[[Env], Value]:
+    if isinstance(e, Var):
+        return operator.itemgetter(e.name.uid)
+    if isinstance(e, (NumLit, BoolLit)):
+        value = e.value
+        return lambda env: value
+    if isinstance(e, BinOp):
+        left, right = _compile_expr(e.left), _compile_expr(e.right)
+        op, apply = e.op, _BINOPS[e.op]
+
+        def binop(env):
+            a = left(env)
+            b = right(env)
+            # Only an unchecked program gets here with an object operand.
+            try:
+                return apply(a, b)
+            except TypeError:
+                raise RuntimeError_(
+                    f"cannot apply {op} to {_fmt(a)} and {_fmt(b)}"
+                ) from None
+
+        return binop
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def _multiset_picks(groups, k):
     """Ways to take k items from payload groups with the given capacities."""
     if k == 0:
@@ -535,7 +536,8 @@ class _Fenwick:
             tree.extend([0] * size)
             tree[2 * size] = self.total
         self.total += delta
-        while i < len(tree):
+        n = len(tree)
+        while i < n:
             tree[i] += delta
             i += i & -i
 

@@ -5,10 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from joinstate.cli import main
+from joinstate.desugar import load_program
+from joinstate.runtime import run
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -254,6 +257,36 @@ class TestFuzz:
         data = json.loads(capsys.readouterr().out)
         assert data["verdicts"] == {"RuntimeFault": 3}
         assert data["violations"] == 3
+
+    # One step of a race: A(0) faults and A(1), A(2) do not, so the
+    # verdicts depend on which seeds run.
+    RACE = (
+        "new o : *A(#Number) [ A(n) |> System!Print(1 / n) ]"
+        " in o!A(0) & o!A(1) & o!A(2)"
+    )
+
+    def test_seed_picks_the_first_seed(self, tmp_path, capsys, monkeypatch):
+        race = tmp_path / "race.cob"
+        race.write_text(self.RACE)
+        program = load_program(self.RACE)
+
+        def summary(*flags):
+            main(["fuzz", str(race), "--seeds", "4", "--max-steps", "1", *flags])
+            data = json.loads(capsys.readouterr().out)
+            first = data["firstSeed"]
+            assert data["verdicts"] == Counter(
+                run(program, seed=s, max_steps=1).verdict
+                for s in range(first, first + 4)
+            )
+            return data
+
+        monkeypatch.delenv("JOINSTATE_SEED", raising=False)
+        assert summary()["firstSeed"] == 0
+        at3, at9 = summary("--seed", "3"), summary("--seed", "9")
+        assert (at3["firstSeed"], at9["firstSeed"]) == (3, 9)
+        assert at3["verdicts"] != at9["verdicts"]
+        monkeypatch.setenv("JOINSTATE_SEED", "9")
+        assert summary() == at9
 
     def test_check_solution_mode(self, capsys):
         code = main([

@@ -1,14 +1,20 @@
 """Execution tests: termination, outputs, determinism, monitors, deadlock."""
 
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from joinstate.checker import check_program
+from joinstate.cli import main
 from joinstate.desugar import load_program
 from joinstate.oracle import enabled_reactions
+from joinstate.parser import MAX_NESTING, ParseError
 from joinstate.runtime import Soup, run
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -214,6 +220,138 @@ class TestRuntimeFaults:
         )
         assert result.verdict == "RuntimeFault"
         assert "cannot apply + to obj@1 and 1" in result.violation
+
+
+class TestOperators:
+    """Every binary operator, run without the checker, so objects can be
+    operands too."""
+
+    OBJECTS = "new a : *P [ P |> done ] in new b : *P [ P |> done ] in "
+
+    @pytest.mark.parametrize("expr,value", [
+        ("7 + 2", 9.0),
+        ("7 - 2", 5.0),
+        ("7 * 2", 14.0),
+        ("7 / 2", 3.5),
+        ("7 % 2", 1.0),
+        ("-7 % 2", -1.0),  # math.fmod: the sign of the dividend
+        ("7 = 2", False),
+        ("7 != 2", True),
+        ("7 < 2", False),
+        ("7 <= 7", True),
+        ("7 > 2", True),
+        ("2 >= 7", False),
+        ("a = a", True),
+        ("a = b", False),
+        ("a != b", True),
+        ("a != a", False),
+        ("a < b", True),
+        ("b < a", False),
+    ])
+    def test_value(self, expr, value):
+        result = run_source(self.OBJECTS + f"System!Print({expr})")
+        assert result.verdict == "Terminated"
+        assert result.outputs == [value]
+        assert type(result.outputs[0]) is type(value)
+
+    @pytest.mark.parametrize("expr,fault", [
+        ("1 / 0", "ZeroDivisionError: float division by zero"),
+        ("1 % 0", "ValueError: math domain error"),
+        ("a + 1", "RuntimeError_: cannot apply + to a@1 and 1"),
+        ("1 < b", "RuntimeError_: cannot apply < to 1 and b@2"),
+    ])
+    def test_fault(self, expr, fault):
+        result = run_source(self.OBJECTS + f"System!Print({expr})")
+        assert (result.verdict, result.violation) == ("RuntimeFault", fault)
+
+
+class TestNestingLimit:
+    """Programs nested as deep as the parser allows run without overflowing
+    Python's stack, through the API and the CLI."""
+
+    @staticmethod
+    def chain(depth):
+        """`new`, `let` and `if`, in turn, nested depth levels deep."""
+        heads = [
+            (f"new o{i} : *A [ A |> done ] in ", f"let v{i} = {i} in ",
+             f"if {i} < {i + 1} then ")[i % 3]
+            for i in range(depth)
+        ]
+        return "".join(heads) + "System!Print(1)" + " else done" * (depth // 3)
+
+    def check_runs(self, src, output, tmp_path, capsys):
+        # Leave 150 frames fewer than the recursion limit.
+        def beneath(frames):
+            return run_source(src) if frames == 0 else beneath(frames - 1)
+
+        result = beneath(150)
+        assert (result.verdict, result.outputs) == ("Terminated", [output])
+        program = tmp_path / "deep.cob"
+        program.write_text(src)
+        assert main(["run", str(program)]) == 0
+        assert capsys.readouterr().out == f"{output:g}\n"
+
+    def test_process_chain_at_the_limit(self, tmp_path, capsys):
+        depth = MAX_NESTING - 3
+        with pytest.raises(ParseError, match="nested more than"):
+            load_program(self.chain(depth + 1))
+        self.check_runs(self.chain(depth), 1.0, tmp_path, capsys)
+
+    def test_longest_sum(self, tmp_path, capsys):
+        terms = MAX_NESTING - 2
+        with pytest.raises(ParseError, match="nested more than"):
+            load_program("System!Print(" + " + ".join(["1"] * (terms + 1)) + ")")
+        src = "System!Print(" + " + ".join(["1"] * terms) + ")"
+        self.check_runs(src, float(terms), tmp_path, capsys)
+
+
+class TestRejectedProgramsMisbehave:
+    def test_every_seed(self):
+        manifest = json.loads((PROGRAMS / "manifest.json").read_text())
+        verdicts = Counter()
+        for rel in manifest["rejected"]:
+            program = load_file(rel)
+            seen = {run(program, seed=seed).verdict for seed in range(30)}
+            assert len(seen) == 1, (rel, seen)
+            verdicts.update(seen)
+        assert verdicts == {"Deadlocked": 6, "MonitorViolation": 2}
+
+
+def test_no_state_crosses_runs():
+    """run(pi, seed=3) comes out the same first thing in a fresh process,
+    after runs of the other accepted programs, and after pi on another
+    seed."""
+    script = """if True:
+        import hashlib, pathlib, sys
+        from joinstate.desugar import load_program
+        from joinstate.runtime import run
+
+        def load(name):
+            return load_program(pathlib.Path(sys.argv[1], name).read_text())
+
+        pi = load("pi.cob")
+
+        def digest():
+            r = run(pi, seed=3, trace=True)
+            text = repr((r.verdict, r.steps, r.outputs, r.created, r.trace))
+            print(hashlib.sha256(text.encode()).hexdigest())
+
+        digest()
+        run(load("sieve.cob"), seed=3, max_steps=3000)
+        run(load("future-user.cob"), seed=3)
+        run(load("future-class.cob"), seed=3)
+        digest()
+        run(pi, seed=4)
+        digest()
+    """
+    env = dict(os.environ, PYTHONPATH=str(PROGRAMS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PROGRAMS / "accepted")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = proc.stdout.split()
+    assert len(digests) == 3 and len(set(digests)) == 1, digests
 
 
 class TestCheckedAndUncheckedRunsAgree:

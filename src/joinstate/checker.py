@@ -668,16 +668,10 @@ def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
     alg = TypeAlgebra(program.table)
     decls: dict[Name, TypeExpr] = dict(BUILTIN_DECLS)
     out: dict[int, TypeExpr] = {}
-    slots: dict[tuple[TypeExpr, str], Optional[Msg]] = {}
 
     def slot_of(decl: TypeExpr, tag: str) -> Optional[Msg]:
-        key = (decl, tag)
-        if key not in slots:
-            verdict = arg_determinate(alg, decl, {tag: 1})
-            slots[key] = (
-                verdict.assignment[tag] if verdict.kind == "determinate" else None
-            )
-        return slots[key]
+        verdict = arg_determinate(alg, decl, {tag: 1})
+        return verdict.assignment[tag] if verdict.kind == "determinate" else None
 
     def resolve(p: Process):
         if isinstance(p, Par):

@@ -7,7 +7,8 @@ Exit codes:
            intentionally infinite), 5 RuntimeFault, 1 rejected by the
            type checker
   fuzz     0 if the summary assertion holds, 1 otherwise
-  any      64 usage error, 65 parse or type-declaration error
+  any      64 usage error, 65 parse or type-declaration error, or a
+           source file that is not UTF-8
 
 A run with monitors on ends in MonitorViolation when a mailbox leaves its
 protocol, and also when the run quiesces with some mailbox holding only
@@ -134,7 +135,12 @@ def _load(path: pathlib.Path):
     if not path.is_file():
         print(f"joinstate: no such file: {path}", file=sys.stderr)
         sys.exit(EX_USAGE)
-    return load_program(path.read_text(), str(path))
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"joinstate: {path}: {exc}", file=sys.stderr)
+        sys.exit(EX_DATAERR)
+    return load_program(source, str(path))
 
 
 def _print_diagnostics(report):

@@ -11,6 +11,7 @@ molecule, and inside a join pattern it joins the pattern's messages.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -177,8 +178,21 @@ KEYWORDS = {
     "false",
 }
 
-_TWO_CHAR = ("|>", "!=", "<=", ">=")
-_ONE_CHAR = "!.,:()[]|&+-*/%=<>"
+# Blanks, then one alternative per token class, tried in order; `other`
+# takes any other character but a blank, so trailing blanks match nothing.  `\w` is exactly `str.isalnum()`
+# or `_`, and `\d` the decimal digits, the only digits `float()` reads.  A
+# dot joins a number unless a letter follows.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<number>\d+(?:\.(?![^\W\d_])\d*)?)"
+    r"|(?P<word>\w+)"
+    r"|(?P<symbol>\|>|!=|<=|>=|[!.,:()\[\]|&+\-*/%=<>▶·])"
+    r"|(?P<tyname>#\w*)"
+    r"|(?P<other>[^ \t\r\n]))"
+)
+_ALIASES = {"▶": "|>", "·": "."}
 
 
 @dataclass
@@ -190,84 +204,38 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    end = len(source)
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if source.startswith("▶", i):
-            tokens.append(Token("|>", "▶", pos))
-            i += 1
-            col += 1
-            continue
-        if source.startswith("·", i):
-            tokens.append(Token(".", "·", pos))
-            i += 1
-            col += 1
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, pos))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and not source[j + 1 : j + 2].isalpha():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("bad type name", pos)
-            tokens.append(Token("tyname", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word in KEYWORDS:
-                kind = word
-            elif word[0].isupper():
-                kind = "uident"
+        i = m.start(kind)
+        text = m.group(kind)
+        pos = (line, i - line_start + 1)
+        if kind == "word":
+            head = text[0]
+            if not (head.isalpha() or head == "_"):
+                raise ParseError(f"unexpected character {head!r}", pos)
+            if text in KEYWORDS:
+                kind = text
             else:
-                kind = "ident"
-            tokens.append(Token(kind, word, pos))
-            col += j - i
-            i = j
+                kind = "uident" if head.isupper() else "ident"
+        elif kind == "symbol":
+            kind = _ALIASES.get(text, text)
+        elif kind == "comment":
+            if m.end() == end:
+                # A comment takes no columns: eof sits where it starts.
+                end = i
             continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, pos))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", pos)
-    tokens.append(Token("eof", "", (line, col)))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        elif text == "#":
+            raise ParseError("bad type name", pos)
+        tokens.append(Token(kind, text, pos))
+    tokens.append(Token("eof", "", (line, end - line_start + 1)))
     return tokens
 
 

@@ -191,7 +191,8 @@ class Soup:
         env = {**env, node.name.uid: oid}
         inst = Instance(oid, node, env, rules, self.decls[node.node_id])
         if self.monitors:
-            inst.residual = self.residual(inst)
+            # The mailbox is empty, so nothing has been derived yet.
+            inst.residual = inst.decl
         self.instances.append(inst)
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:

@@ -53,6 +53,10 @@ def _scale_add(u: Vector, v: Vector, k: int) -> Vector:
 
 
 def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
+    """The message slots of the given types, in sort order; memoized on alg."""
+    alphabet = alg.alphabet_memo.get(types)
+    if alphabet is not None:
+        return alphabet
     slots: set[Msg] = set()
     for t in types:
         slots |= alg.heads(t)
@@ -61,6 +65,7 @@ def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
     for m in alphabet:
         if arities.setdefault(m.tag, len(m.args)) != len(m.args):
             raise ValueError(f"tag {m.tag} used with inconsistent arities")
+    alg.alphabet_memo[types] = alphabet
     return alphabet
 
 
@@ -108,65 +113,72 @@ def _prune(components: Iterable[LinearSet]) -> list[LinearSet]:
 
 
 def parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet]:
-    """Components of the Parikh image of t over the given slot alphabet."""
+    """Components of the Parikh image of t over the given slot alphabet.
+
+    Memoized on alg per (term, alphabet), subterms included; the list is
+    shared between callers, so none may change it."""
+    key = (t, alphabet)
+    image = alg.parikh_memo.get(key)
+    if image is None:
+        image = alg.parikh_memo[key] = _parikh(alg, t, alphabet)
+    return image
+
+
+def _parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet]:
     n = len(alphabet)
-    index = {m: i for i, m in enumerate(alphabet)}
-
-    def go(t: TypeExpr) -> list[LinearSet]:
-        heads = alg.heads(t)
-        if not heads:
-            # 0, or a name for it, has no configurations; the rest are just 1.
-            if not alg.usable(t):
+    heads = alg.heads(t)
+    if not heads:
+        # 0, or a name for it, has no configurations; the rest are just 1.
+        if not alg.usable(t):
+            return []
+        return [LinearSet(_zero(n), frozenset())]
+    if isinstance(t, Msg):
+        i = alphabet.index(t)
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        return [LinearSet(unit, frozenset())]
+    kind = type(t).__name__
+    if kind == "Sum":
+        out: list[LinearSet] = []
+        for p in t.parts:  # type: ignore[attr-defined]
+            out.extend(parikh(alg, p, alphabet))
+        return _prune(out)
+    if kind == "Prod":
+        acc = [LinearSet(_zero(n), frozenset())]
+        for p in t.parts:  # type: ignore[attr-defined]
+            parts = parikh(alg, p, alphabet)
+            # Pruned as generated, so the full product never exists.
+            acc = _prune(
+                LinearSet(_add(a.base, b.base), a.periods | b.periods)
+                for a in acc
+                for b in parts
+            )
+            if not acc:
                 return []
-            return [LinearSet(_zero(n), frozenset())]
-        if isinstance(t, Msg):
-            unit = tuple(1 if i == index[t] else 0 for i in range(n))
-            return [LinearSet(unit, frozenset())]
-        kind = type(t).__name__
-        if kind == "Sum":
-            out: list[LinearSet] = []
-            for p in t.parts:  # type: ignore[attr-defined]
-                out.extend(go(p))
-            return _prune(out)
-        if kind == "Prod":
-            acc = [LinearSet(_zero(n), frozenset())]
-            for p in t.parts:  # type: ignore[attr-defined]
-                parts = go(p)
-                # Pruned as generated, so the full product never exists.
-                acc = _prune(
-                    LinearSet(_add(a.base, b.base), a.periods | b.periods)
-                    for a in acc
-                    for b in parts
-                )
-                if not acc:
-                    return []
-            return acc
-        if kind == "Star":
-            body = _prune(go(t.body))  # type: ignore[attr-defined]
-            out = [LinearSet(_zero(n), frozenset())]
-            for subset in itertools.chain.from_iterable(
-                itertools.combinations(body, r) for r in range(1, len(body) + 1)
-            ):
-                if all(not comp.periods for comp in subset):
-                    # Pure bases: any number of copies of each, including zero,
-                    # so the whole subset collapses to periods over origin.
-                    periods = {comp.base for comp in subset if any(comp.base)}
-                    out.append(LinearSet(_zero(n), frozenset(periods)))
-                    continue
-                base = _zero(n)
-                periods = set()
-                for comp in subset:
-                    base = _add(base, comp.base)
-                    periods |= comp.periods
-                    if any(comp.base):
-                        periods.add(comp.base)
-                out.append(LinearSet(base, frozenset(periods)))
-            return _prune(out)
-        if kind == "Ref":
-            return go(alg.unfold(t))
-        raise TypeError(f"not a type expression: {t!r}")
-
-    return go(t)
+        return acc
+    if kind == "Star":
+        body = _prune(parikh(alg, t.body, alphabet))  # type: ignore[attr-defined]
+        out = [LinearSet(_zero(n), frozenset())]
+        for subset in itertools.chain.from_iterable(
+            itertools.combinations(body, r) for r in range(1, len(body) + 1)
+        ):
+            if all(not comp.periods for comp in subset):
+                # Pure bases: any number of copies of each, including zero,
+                # so the whole subset collapses to periods over origin.
+                periods = {comp.base for comp in subset if any(comp.base)}
+                out.append(LinearSet(_zero(n), frozenset(periods)))
+                continue
+            base = _zero(n)
+            periods = set()
+            for comp in subset:
+                base = _add(base, comp.base)
+                periods |= comp.periods
+                if any(comp.base):
+                    periods.add(comp.base)
+            out.append(LinearSet(base, frozenset(periods)))
+        return _prune(out)
+    if kind == "Ref":
+        return parikh(alg, alg.unfold(t), alphabet)
+    raise TypeError(f"not a type expression: {t!r}")
 
 
 # --- subtyping -------------------------------------------------------------
@@ -235,7 +247,8 @@ def _transport_exists(
 class SubtypeEngine:
     """Decides `t <= s` with coinductive memoization and a bounded fallback.
 
-    One engine instance owns its caches; share an instance to amortize them.
+    One engine instance owns its verdict cache; share an instance to amortize
+    it.  Parikh images are memoized on the algebra.
     """
 
     def __init__(self, alg: TypeAlgebra, bound: int = 4):
@@ -243,7 +256,6 @@ class SubtypeEngine:
         self.bound = bound
         self._cache: dict[tuple[TypeExpr, TypeExpr], Verdict] = {}
         self._in_progress: set[tuple[TypeExpr, TypeExpr]] = set()
-        self._parikh: dict[tuple[TypeExpr, Alphabet], list[LinearSet]] = {}
 
     def subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         key = (t, s)
@@ -262,13 +274,6 @@ class SubtypeEngine:
         if outermost or not verdict.holds:
             self._cache[key] = verdict
         return verdict
-
-    def _parikh_of(self, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet]:
-        key = (t, alphabet)
-        cached = self._parikh.get(key)
-        if cached is None:
-            cached = self._parikh[key] = parikh(self.alg, t, alphabet)
-        return cached
 
     def equivalent(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         forward = self.subtype(t, s)
@@ -296,8 +301,8 @@ class SubtypeEngine:
         if alg.nullable(s) and not alg.nullable(t):
             return Verdict("no", counterexample=())
         alphabet = joint_alphabet(alg, t, s)
-        t_comps = self._parikh_of(t, alphabet)
-        s_comps = self._parikh_of(s, alphabet)
+        t_comps = parikh(alg, t, alphabet)
+        s_comps = parikh(alg, s, alphabet)
         matcher: _Matcher | None = None
         for comp in s_comps:
             if self._fast_include(comp, t_comps, alphabet):
@@ -594,7 +599,16 @@ DEAD = ArgVerdict("dead")
 
 def arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerdict:
     """Resolve a tag multiset against t: which message types must those tags
-    denote in any configuration extending the multiset?"""
+    denote in any configuration extending the multiset?  Memoized on alg;
+    the verdict is shared, so its assignment must not be changed."""
+    key = (t, tuple(sorted(tags.items())))
+    verdict = alg.slots_memo.get(key)
+    if verdict is None:
+        verdict = alg.slots_memo[key] = _arg_determinate(alg, t, tags)
+    return verdict
+
+
+def _arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerdict:
     alphabet = joint_alphabet(alg, t)
     n = len(alphabet)
     tag_slots: dict[str, list[int]] = {}

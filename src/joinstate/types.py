@@ -303,6 +303,11 @@ class TypeAlgebra:
         self._heads: dict[TypeExpr, frozenset[Msg]] = {}
         self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
+        # Kept for `semilinear`: Parikh images by (term, alphabet), slot
+        # resolutions by (type, sorted tag counts), alphabets by type tuple.
+        self.parikh_memo: dict[tuple, list] = {}
+        self.slots_memo: dict[tuple, object] = {}
+        self.alphabet_memo: dict[tuple, tuple[Msg, ...]] = {}
 
     def unfold(self, t: TypeExpr) -> TypeExpr:
         while isinstance(t, Ref):

@@ -1,16 +1,22 @@
 """Checker tests: the program corpus plus targeted unit cases."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
-from joinstate.checker import check_program
+from joinstate import semilinear
+from joinstate.checker import check_program, resolve_closure_types
 from joinstate.core import If, NewObj, Par
 from joinstate.desugar import load_program
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 MANIFEST = json.loads((PROGRAMS / "manifest.json").read_text())
+CORPUS = MANIFEST["accepted"] + sorted(MANIFEST["rejected"])
 
 
 def check_source(src):
@@ -49,9 +55,7 @@ class TestCorpus:
         assert report.verdict == "rejected"
         assert set(report.codes()) == {code}, [str(d) for d in report.diagnostics]
 
-    @pytest.mark.parametrize(
-        "rel", MANIFEST["accepted"] + sorted(MANIFEST["rejected"])
-    )
+    @pytest.mark.parametrize("rel", CORPUS)
     def test_program_left_as_loaded(self, rel):
         path = PROGRAMS / rel
         program = load_program(path.read_text(), str(path))
@@ -59,6 +63,52 @@ class TestCorpus:
         check_program(program)
         assert all(p.decl is decl for p, decl in decls)
         assert all((p.decl is None) == (p.closure is not None) for p, _ in decls)
+
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_each_question_is_computed_once_per_algebra(self, rel, monkeypatch):
+        # Keyed by the algebra, so a question asked again of a new algebra
+        # (resolve_closure_types builds its own) is a new computation.
+        computed: Counter = Counter()
+
+        def counted(fn, key):
+            def wrapper(alg, t, arg):
+                computed[fn.__name__, alg, t, key(arg)] += 1
+                return fn(alg, t, arg)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            semilinear, "_parikh", counted(semilinear._parikh, lambda a: a)
+        )
+        monkeypatch.setattr(
+            semilinear,
+            "_arg_determinate",
+            counted(
+                semilinear._arg_determinate, lambda tags: tuple(sorted(tags.items()))
+            ),
+        )
+        path = PROGRAMS / rel
+        program = load_program(path.read_text(), str(path))
+        check_program(program)
+        resolve_closure_types(program)
+        assert computed
+        assert [k for k, n in computed.items() if n > 1] == []
+
+    def test_checks_share_no_memo(self):
+        # Each report, from one process checking the whole corpus, equals
+        # the one from a process that checks that program alone.
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        together = [
+            json.dumps(check_file(rel).to_json(), indent=2) + "\n" for rel in CORPUS
+        ]
+        for rel, report in zip(CORPUS, together):
+            alone = subprocess.run(
+                [sys.executable, "-m", "joinstate.cli", "check", "--json",
+                 str(PROGRAMS / rel)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert alone.stdout == report, rel
 
     def test_report_json_shape(self):
         report = check_file("accepted/future-user.cob")

@@ -95,6 +95,35 @@ class TestCheck:
         bad.write_text("new obj : [ in done")
         assert main(["check", str(bad)]) == 65
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize(
+        "src,col", [("System!Print(²)", 14), ("System!Print(1²)", 15)]
+    )
+    def test_superscript_digit_is_a_parse_error(
+        self, tmp_path, capsys, command, src, col
+    ):
+        bad = tmp_path / "sup.cob"
+        bad.write_text(src, encoding="utf-8")
+        assert main([command, str(bad)]) == 65
+        assert f"1:{col}: unexpected character '²'" in capsys.readouterr().err
+
+    def test_decimal_digit_of_any_script_is_a_number(self, tmp_path, capsys):
+        src = tmp_path / "arabic.cob"
+        src.write_text("System!Print(٣)", encoding="utf-8")
+        assert main(["check", str(src)]) == 0
+        assert main(["run", str(src)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["3"]
+
+    @pytest.mark.parametrize("command", ["check", "run", "explain"])
+    def test_non_utf8_source_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.cob"
+        bad.write_bytes(b"done \xff")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(bad)])
+        assert exc.value.code == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"joinstate: {bad}: ") and "0xff" in err
+
 
 class TestRun:
     def test_terminated_prints_and_exits_zero(self, capsys):

@@ -102,6 +102,59 @@ class TestTokenizer:
         toks = tokenize("#Number #Get")
         assert [t.text for t in toks[:2]] == ["#Number", "#Get"]
 
+    def test_trailing_comment_does_not_move_eof(self):
+        assert tokenize("a\n//x")[-1].pos == (2, 1)
+        assert tokenize("done // c")[-1].pos == (1, 6)
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            ("1.a", [("number", "1", (1, 1)), (".", ".", (1, 2)),
+                     ("ident", "a", (1, 3)), ("eof", "", (1, 4))]),
+            ("1.é", [("number", "1", (1, 1)), (".", ".", (1, 2)),
+                     ("ident", "é", (1, 3)), ("eof", "", (1, 4))]),
+            ("4.", [("number", "4.", (1, 1)), ("eof", "", (1, 3))]),
+            ("1._", [("number", "1.", (1, 1)), ("ident", "_", (1, 3)),
+                     ("eof", "", (1, 4))]),
+            ("12abc", [("number", "12", (1, 1)), ("ident", "abc", (1, 3)),
+                       ("eof", "", (1, 6))]),
+            ("\tA\r\n\tB\r C", [("uident", "A", (1, 2)), ("uident", "B", (2, 2)),
+                               ("uident", "C", (2, 5)), ("eof", "", (2, 6))]),
+            ("A \t\r", [("uident", "A", (1, 1)), ("eof", "", (1, 5))]),
+            ("x²", [("ident", "x²", (1, 1)), ("eof", "", (1, 3))]),
+            ("é", [("ident", "é", (1, 1)), ("eof", "", (1, 2))]),
+            ("٣", [("number", "٣", (1, 1)), ("eof", "", (1, 2))]),
+        ],
+    )
+    def test_token_kinds_texts_and_positions(self, src, expected):
+        assert [(t.kind, t.text, t.pos) for t in tokenize(src)] == expected
+
+    @pytest.mark.parametrize(
+        "src,message,pos",
+        [
+            ("#", "bad type name", (1, 1)),
+            ("x #", "bad type name", (1, 3)),
+            ("@", "unexpected character '@'", (1, 1)),
+            ("Ⅻ", "unexpected character 'Ⅻ'", (1, 1)),
+            ("a\n\t @", "unexpected character '@'", (2, 3)),
+        ],
+    )
+    def test_errors_name_their_position(self, src, message, pos):
+        with pytest.raises(ParseError) as info:
+            tokenize(src)
+        assert (info.value.plain_message, info.value.pos) == (message, pos)
+
+    @pytest.mark.parametrize(
+        "src,pos", [("1²", (1, 2)), ("²", (1, 1)), ("1.²", (1, 3)), ("½", (1, 1))]
+    )
+    def test_only_decimal_digits_make_numbers(self, src, pos):
+        # float() takes exactly the decimal digits; any other digit-like
+        # character starts no token.
+        with pytest.raises(ParseError) as info:
+            tokenize(src)
+        assert info.value.pos == pos
+        assert info.value.plain_message.startswith("unexpected character")
+
 
 class TestTypes:
     def test_precedence(self):

@@ -31,6 +31,7 @@ from .core import (
     SYSTEM,
     BinOp,
     BoolLit,
+    ClosureSpec,
     CoreProgram,
     Done,
     Expr,
@@ -48,7 +49,6 @@ from .deps import (
     EMPTY_DEPS,
     DependencyRelation,
     Incompatible,
-    SelfDependencyError,
     clique,
     join,
     merge,
@@ -259,7 +259,7 @@ class Checker:
     # --- sends --------------------------------------------------------------
 
     def resolve_slots(
-        self, decl: TypeExpr, tags: Counter, what: str, pos: Pos
+        self, decl: TypeExpr, tags: dict[str, int], what: str, pos: Pos
     ) -> Optional[dict[str, Msg]]:
         """Determine which message slot each tag of a molecule or join pattern
         refers to; None (with a diagnostic) when that fails."""
@@ -271,6 +271,8 @@ class Checker:
             )
             return None
         verdict = arg_determinate(self.alg, decl, tags)
+        if verdict.kind == "determinate":
+            return verdict.assignment
         pretty = " & ".join(
             tag if k == 1 else f"{tag} x{k}" for tag, k in sorted(tags.items())
         )
@@ -282,16 +284,14 @@ class Checker:
                 f"{what}: {pretty} fits no configuration of {render(decl)}",
                 pos,
             )
-            return None
-        if verdict.kind == "ambiguous":
+        else:
             self.diag(
                 "AmbiguousArgs",
                 f"{what}: {pretty} does not pin down argument types in "
                 f"{render(decl)}",
                 pos,
             )
-            return None
-        return verdict.assignment
+        return None
 
     def check_send(self, p: Send) -> tuple[Env, DependencyRelation]:
         target = p.target
@@ -379,12 +379,7 @@ class Checker:
             return env, EMPTY_DEPS
         if target not in self.stateless:
             dep_names.append(target)
-        try:
-            deps = clique(dep_names)
-        except SelfDependencyError as err:  # pragma: no cover - guarded above
-            self.diag("SelfDependency", str(err), p.pos)
-            deps = EMPTY_DEPS
-        return env, deps
+        return env, clique(dep_names)
 
     # --- processes ----------------------------------------------------------
 
@@ -497,13 +492,28 @@ class Checker:
         return params
 
     def check_rule(self, obj: Name, t0: TypeExpr, rule: Rule, pos: Pos):
-        tags = Counter(m.tag for m in rule.pattern)
         pretty = " & ".join(m.tag for m in rule.pattern)
-        params = self.bind_pattern(t0, rule.pattern, f"rule {pretty} of {obj}", pos)
+        what = f"rule {pretty} of {obj}"
+        params = self.bind_pattern(t0, rule.pattern, what, pos)
         if params is None:
             return
-
         env, _deps = self.check_process(rule.body)
+        self.close_rule(obj, t0, rule, params, env, what, f"rule {pretty}", pos)
+
+    def close_rule(
+        self,
+        obj: Name,
+        decl: TypeExpr,
+        rule: Rule,
+        params: list[Name],
+        env: Env,
+        what: str,
+        after: str,
+        pos: Pos,
+    ):
+        """Discharge a rule whose body used env: each pattern variable's
+        obligations, no other name from the enclosing scope, and a state of
+        obj after the rule fires that decl still permits."""
         for param in params:
             self.check_obligation(param, self.decls[param], env, pos)
             env.pop(param, None)
@@ -512,58 +522,46 @@ class Checker:
             if name not in self.stateless:
                 self.diag(
                     "ProtocolViolation",
-                    f"rule {pretty} of {obj} uses {name} from the enclosing "
-                    "scope; thread it through a message instead",
+                    f"{what} uses {name} from the enclosing scope; thread it "
+                    "through a message instead",
                     pos,
                 )
-        residual = ty.Prod((self.alg.derivative_config(t0, tags.elements()), s0))
+        consumed = Counter(m.tag for m in rule.pattern).elements()
+        residual = ty.Prod((self.alg.derivative_config(decl, consumed), s0))
         self.require_subtype(
-            t0,
-            residual,
-            f"state of {obj} after rule {pretty}",
-            pos,
-            "ProtocolViolation",
+            decl, residual, f"state of {obj} after {after}", pos, "ProtocolViolation"
         )
 
     # --- continuation objects ----------------------------------------------
 
-    def closure_base(self, spec, pos: Pos) -> Optional[TypeExpr]:
-        """The protocol the continuation must offer, read off the message slot
-        it is (or its value is) passed to."""
-        kind = spec.origin[0]
-        if kind == "sync":
-            _, target, tag = spec.origin
-            index = -1
-        else:
-            _, target, tag, index = spec.origin
+    def closure_base(self, spec: ClosureSpec, pos: Pos) -> Optional[TypeExpr]:
+        """The protocol the continuation must offer: argument spec.index of
+        the message slot it is passed to; None (with a diagnostic) when that
+        slot has no such argument or it accepts no continuation."""
+        target, tag = spec.target, spec.tag
         decl = self.decls.get(target)
         if decl is None:
             self.diag("ProtocolViolation", f"unknown object {target}", pos)
             return None
-        slots = self.resolve_slots(
-            decl, Counter({tag: 1}), f"send to {target}", pos
-        )
+        slots = self.resolve_slots(decl, {tag: 1}, f"send to {target}", pos)
         if slots is None:
             return None
-        slot = slots[tag]
-        if not slot.args:
+        args = slots[tag].args
+        if not args:
             self.diag(
                 "AritySumError",
                 f"{tag} of {render(decl)} has no continuation argument",
                 pos,
             )
             return None
-        if kind == "sync":
-            base = slot.args[-1]
-        else:
-            if index >= len(slot.args):
-                self.diag(
-                    "AritySumError",
-                    f"{tag} of {render(decl)} has no argument {index}",
-                    pos,
-                )
-                return None
-            base = slot.args[index]
+        if spec.index >= len(args):
+            self.diag(
+                "AritySumError",
+                f"{tag} of {render(decl)} has no argument {spec.index}",
+                pos,
+            )
+            return None
+        base = args[spec.index]
         if _is_value_type(base) or not self.alg.usable(base):
             self.diag(
                 "UnusableArg",
@@ -587,23 +585,17 @@ class Checker:
             reply_pattern = rule.pattern[1:]
         # Captured names keep their declared protocols inside the body; the
         # reply parameters take theirs from the base slot.
-        param_decls: dict[Name, TypeExpr] = {}
         for param, source in zip(closure_params, spec.captured):
-            source_decl = self.decls.get(source)
-            if source_decl is None:
+            if source not in self.decls:
                 self.diag(
                     "ProtocolViolation", f"unknown object {source}", p.pos
                 )
-                source_decl = ty.ONE
-            param_decls[param] = source_decl
-
+            self.decls[param] = self.decls.get(source, ty.ONE)
         reply_params = self.bind_pattern(
             base, reply_pattern, f"reply to {p.name}", p.pos
         )
         if reply_params is None:
             return ty.ONE
-        for param in closure_params:
-            self.decls[param] = param_decls[param]
 
         # Check the body once; how it uses each captured name is exactly the
         # CLOSURE argument type the object demands.
@@ -612,34 +604,15 @@ class Checker:
         # value-typed captures keep their base type (values have no usage).
         captured_usage = []
         for param in closure_params:
-            if _is_value_type(param_decls[param]):
-                captured_usage.append(param_decls[param])
+            if _is_value_type(self.decls[param]):
+                captured_usage.append(self.decls[param])
                 env.pop(param, None)
             else:
                 captured_usage.append(env.pop(param, ty.ONE))
-        for param in reply_params:
-            self.check_obligation(param, self.decls[param], env, p.pos)
-            env.pop(param, None)
         decl = closure_decl(base, tuple(captured_usage))
         self.decls[p.name] = decl
-        s0 = env.pop(p.name, ty.ONE)
-        for name in env:
-            if name not in self.stateless:
-                self.diag(
-                    "ProtocolViolation",
-                    f"continuation {p.name} uses {name} from the enclosing "
-                    "scope; thread it through a message instead",
-                    p.pos,
-                )
-        all_tags = Counter(m.tag for m in rule.pattern)
-        residual = ty.Prod((self.alg.derivative_config(decl, all_tags.elements()), s0))
-        self.require_subtype(
-            decl,
-            residual,
-            f"state of {p.name} after its reply",
-            p.pos,
-            "ProtocolViolation",
-        )
+        what = f"continuation {p.name}"
+        self.close_rule(p.name, decl, rule, reply_params, env, what, "its reply", p.pos)
         return decl
 
     # --- entry ---------------------------------------------------------------
@@ -659,19 +632,18 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
 
 
 def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
-    """Every object's declared type, by node id, without full
-    checking and without writing into the program, so the runtime executes
-    checked and unchecked programs alike.  A continuation's type is resolved
-    from its ClosureSpec, with CLOSURE argument types approximated by the
-    captured names' declared types: the runtime follows message tags, and
-    only asks whether a leftover CLOSURE message's arguments are relevant."""
-    alg = TypeAlgebra(program.table)
-    decls: dict[Name, TypeExpr] = dict(BUILTIN_DECLS)
+    """Every object's declared type, by node id, without full checking and
+    without writing into the program, so the runtime executes checked and
+    unchecked programs alike.  A continuation's base is the checker's own
+    `closure_base` (1 where the checker rejects it), with CLOSURE argument
+    types approximated by the captured names' declared types: the runtime
+    follows message tags, and only asks whether a leftover CLOSURE message's
+    arguments are relevant.  A rule's variables take the argument types of
+    the slots its whole pattern resolves to, as in `Checker.bind_pattern`,
+    and 1 where that fails."""
+    checker = Checker(program)  # only its decls and algebra are used
+    decls = checker.decls
     out: dict[int, TypeExpr] = {}
-
-    def slot_of(decl: TypeExpr, tag: str) -> Optional[Msg]:
-        verdict = arg_determinate(alg, decl, {tag: 1})
-        return verdict.assignment[tag] if verdict.kind == "determinate" else None
 
     def resolve(p: Process):
         if isinstance(p, Par):
@@ -685,23 +657,20 @@ def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
             if spec is None:
                 decl = p.decl
             else:
-                kind, target, tag = spec.origin[:3]
-                slot = slot_of(decls.get(target, ty.ONE), tag)
-                base: TypeExpr = ty.ONE
-                if slot is not None and slot.args:
-                    base = slot.args[-1 if kind == "sync" else spec.origin[3]]
+                base = checker.closure_base(spec, p.pos) or ty.ONE
                 decl = closure_decl(
                     base, tuple(decls.get(n, ty.ONE) for n in spec.captured)
                 )
             out[p.node_id] = decls[p.name] = decl
             for rule in p.rules:
+                tags: dict[str, int] = {}
                 for m in rule.pattern:
-                    slot = slot_of(decl, m.tag)
+                    tags[m.tag] = tags.get(m.tag, 0) + 1
+                slots = arg_determinate(checker.alg, decl, tags).assignment
+                for m in rule.pattern:
+                    args = slots[m.tag].args if slots else ()
                     for i, param in enumerate(m.params):
-                        if slot is not None and i < len(slot.args):
-                            decls[param] = slot.args[i]
-                        else:
-                            decls[param] = ty.ONE
+                        decls[param] = args[i] if i < len(args) else ty.ONE
                 resolve(rule.body)
             resolve(p.body)
 

@@ -24,6 +24,10 @@ class Name:
     text: str
     uid: int
 
+    # The uid alone identifies a binder; equality still compares both.
+    def __hash__(self):
+        return self.uid
+
     def __repr__(self):
         return f"{self.text}#{self.uid}"
 
@@ -125,15 +129,17 @@ class ClosureSpec:
 
     `captured` are the outer names threaded through an initial CLOSURE
     message, positionally aligned with the CLOSURE pattern variables of the
-    object's single rule.  `origin` records where the object's base protocol
-    comes from: ("sync", target, tag) takes the trailing argument of that
-    message slot, ("anon", receiver, tag, index) takes the indexed argument.
-    The checker derives the declared type from this while checking, and the
-    runtime resolves one itself (`checker.resolve_closure_types`); neither
-    writes it into the program, whose `NewObj.decl` stays None."""
+    object's single rule.  The object's base protocol is argument `index`
+    of the `tag` slot of `target`; index -1 is the trailing argument, the
+    reply of a synchronous call.  `checker.Checker.closure_base` is the one
+    reader of that slot, for the checker and for the runtime
+    (`checker.resolve_closure_types`) alike; neither writes the type into
+    the program, whose `NewObj.decl` stays None."""
 
     captured: tuple[Name, ...]
-    origin: tuple
+    target: Name
+    tag: str
+    index: int
 
 
 @dataclass

@@ -142,7 +142,9 @@ def rename(p: Process, mapping: dict[Name, Name]) -> Process:
             if closure:
                 closure = ClosureSpec(
                     tuple(name(n) for n in closure.captured),
-                    tuple(name(x) if isinstance(x, Name) else x for x in closure.origin),
+                    name(closure.target),
+                    closure.tag,
+                    closure.index,
                 )
             rules = [Rule(r.pattern, go(r.body)) for r in q.rules]
             return NewObj(
@@ -185,6 +187,45 @@ class Desugarer:
 
     # --- continuation construction ----------------------------------------
 
+    def closure(
+        self,
+        obj: Name,
+        pattern: tuple[PatMsg, ...],
+        body: Process,
+        target: Name,
+        tag: str,
+        index: int,
+        pos: Pos,
+    ) -> Wrapper:
+        """Build the continuation object ``obj`` with the single rule
+        ``pattern |> body``, passed as argument ``index`` (-1: the last) of
+        ``target!tag(...)``.  Names the body takes from the enclosing scope
+        are renamed to fresh copies bound by a CLOSURE message; the returned
+        wrapper sends that message alongside the process it installs ``obj``
+        around."""
+        bound = {x for m in pattern for x in m.params}
+        captured = [
+            n
+            for n in ordered_free_names(body)
+            if n not in bound and n not in self.stateless
+        ]
+        if captured:
+            copies = [self.fresh(n.text) for n in captured]
+            body = rename(body, dict(zip(captured, copies)))
+            pattern = (PatMsg(CLOSURE_TAG, tuple(copies)),) + pattern
+        rule = Rule(pattern, body)
+        spec = ClosureSpec(tuple(captured), target, tag, index)
+
+        def wrap(proc: Process) -> Process:
+            if captured:
+                prime = Send(
+                    obj, (SendMsg(CLOSURE_TAG, tuple(Var(n) for n in captured)),), pos
+                )
+                proc = Par((prime, proc))
+            return NewObj(obj, None, [rule], proc, self.fresh_node(), False, spec, pos)
+
+        return wrap
+
     def make_continuation(
         self,
         target: Name,
@@ -196,32 +237,10 @@ class Desugarer:
     ) -> Process:
         """Build the continuation object for ``let results = target.tag(args)
         in body`` and return the process that replaces the let."""
-        captured = [
-            n
-            for n in ordered_free_names(body)
-            if n not in results and n not in self.stateless
-        ]
         cont = self.fresh("cont")
-        origin = ("sync", target, tag)
-        reply = PatMsg(REPLY_TAG, tuple(results))
-        call = Send(
-            target, (SendMsg(tag, tuple(args) + (Var(cont),)),), pos
-        )
-        if captured:
-            copies = [self.fresh(n.text) for n in captured]
-            inner = rename(body, dict(zip(captured, copies)))
-            rule = Rule((PatMsg(CLOSURE_TAG, tuple(copies)), reply), inner)
-            prime = Send(
-                cont, (SendMsg(CLOSURE_TAG, tuple(Var(n) for n in captured)),), pos
-            )
-            sends: Process = Par((prime, call))
-        else:
-            rule = Rule((reply,), body)
-            sends = call
-        spec = ClosureSpec(tuple(captured), origin)
-        return NewObj(
-            cont, None, [rule], sends, self.fresh_node(), False, spec, pos
-        )
+        call = Send(target, (SendMsg(tag, tuple(args) + (Var(cont),)),), pos)
+        reply = (PatMsg(REPLY_TAG, tuple(results)),)
+        return self.closure(cont, reply, body, target, tag, -1, pos)(call)
 
     def make_anonymous(
         self,
@@ -239,9 +258,11 @@ class Desugarer:
             )
         srule = block.rules[0]
         anon = self.fresh("anon")
-        params: list[Name] = []
+        seen: set[str] = set()
+        pattern: list[PatMsg] = []
         env2 = dict(env)
         for pat in srule.pattern:
+            params = []
             for pname, ann in pat.params:
                 if ann is not None:
                     raise DesugarError(
@@ -249,55 +270,18 @@ class Desugarer:
                         "receiving slot and cannot be annotated",
                         pat.pos,
                     )
-                if pname in (p.text for p in params):
+                if pname in seen:
                     raise DesugarError(
                         f"pattern variable {pname!r} repeated", pat.pos
                     )
+                seen.add(pname)
                 fresh = self.fresh(pname)
                 params.append(fresh)
                 env2[pname] = Var(fresh)
-        pattern = tuple(
-            PatMsg(
-                pat.tag,
-                tuple(params[i] for i in range(off, off + len(pat.params))),
-            )
-            for off, pat in self._pattern_offsets(srule.pattern)
-        )
+            pattern.append(PatMsg(pat.tag, tuple(params)))
         body = self.process(srule.body, env2)
-        captured = [
-            n
-            for n in ordered_free_names(body)
-            if n not in params and n not in self.stateless
-        ]
-        origin = ("anon", receiver, tag, index)
-        if captured:
-            copies = [self.fresh(n.text) for n in captured]
-            body = rename(body, dict(zip(captured, copies)))
-            pattern = (PatMsg(CLOSURE_TAG, tuple(copies)),) + pattern
-        rule = Rule(pattern, body)
-        spec = ClosureSpec(tuple(captured), origin)
-
-        def wrap(proc: Process) -> Process:
-            inner = proc
-            if captured:
-                prime = Send(
-                    anon,
-                    (SendMsg(CLOSURE_TAG, tuple(Var(n) for n in captured)),),
-                    block.pos,
-                )
-                inner = Par((prime, proc))
-            return NewObj(
-                anon, None, [rule], inner, self.fresh_node(), False, spec, block.pos
-            )
-
+        wrap = self.closure(anon, tuple(pattern), body, receiver, tag, index, block.pos)
         return anon, wrap
-
-    @staticmethod
-    def _pattern_offsets(pattern):
-        off = 0
-        for pat in pattern:
-            yield off, pat
-            off += len(pat.params)
 
     # --- expressions -------------------------------------------------------
 

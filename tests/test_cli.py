@@ -147,10 +147,14 @@ class TestRun:
         assert code == 4
 
     def test_monitor_violation_exit_code(self, tmp_path, capsys):
-        src = "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B"
-        bad = tmp_path / "double.cob"
-        bad.write_text(src)
-        assert main(["run", str(bad), "--no-typecheck"]) == 2
+        for src in (
+            "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B",
+            # An anonymous block past the slot's last argument.
+            "new o : M(#Number) [ M(n) |> done ] in o!M(1, [ R |> done ])",
+        ):
+            bad = tmp_path / "bad.cob"
+            bad.write_text(src)
+            assert main(["run", str(bad), "--no-typecheck"]) == 2, src
 
     @pytest.mark.parametrize(
         "rel", ["rejected/extra-message.cob", "rejected/missing-message.cob"]

@@ -178,9 +178,9 @@ class TestSyncCalls:
     def test_sync_origin_points_at_slot(self):
         prog = load_program(FUTURE_CLASS + "let f = Future.New in f!Resolve(1)")
         cont = by_text(collect_news(prog.process), "cont")[0]
-        kind, target, tag = cont.closure.origin
-        assert kind == "sync" and tag == "New"
-        assert target.text == "Future"
+        spec = cont.closure
+        assert spec.index == -1 and spec.tag == "New"
+        assert spec.target.text == "Future"
 
     def test_multi_result_let(self):
         src = """
@@ -220,9 +220,9 @@ class TestAnonymousBlocks:
         prog = load_program(self.SRC)
         anon = by_text(collect_news(prog.process), "anon")[0]
         assert [n.text for n in anon.closure.captured] == ["this"]
-        kind, receiver, tag, index = anon.closure.origin
-        assert kind == "anon" and tag == "New" and index == 1
-        assert receiver.text == "Worker"
+        spec = anon.closure
+        assert spec.tag == "New" and spec.index == 1
+        assert spec.target.text == "Worker"
         [rule] = anon.rules
         assert [m.tag for m in rule.pattern] == [CLOSURE_TAG, "Reply"]
 

@@ -393,11 +393,28 @@ class TestMonitors:
         )
         assert result.verdict in ("Terminated", "Deadlocked")
 
+    # Accepted, though the tag A alone does not pin down x's type: only the
+    # whole pattern A & B does.
+    AMBIGUOUS_TAG = """
+    type #Cell = *Get(Reply(#Number))
+    new g : *Get(Reply(#Number)) [ Get(r) |> r!Reply(7) ] in
+    new o : 1 + (A(#Cell) . B) + (A(#Number) . C) [
+        A(x) & B |> System!Print(x.Get)
+      | A(y) & C |> System!Print(y)
+    ] in o!(A(g) & B)
+    """
+
     def test_accepted_programs_never_violate(self):
         for rel in ("accepted/future-user.cob", "accepted/future-class.cob"):
             for seed in range(5):
                 result = run(load_file(rel), seed=seed)
                 assert result.verdict == "Terminated", (rel, seed)
+        program = load_program(self.AMBIGUOUS_TAG)
+        assert check_program(program).verdict == "accepted"
+        for seed in range(5):
+            result = run(program, seed=seed)
+            assert result.verdict == "Terminated", (seed, result.violation)
+            assert result.outputs == [7.0]
 
 
 class TestPrograms:

@@ -49,9 +49,6 @@ class DependencyRelation:
                 out.append(b)
         return DependencyRelation(frozenset(out))
 
-    def __bool__(self) -> bool:
-        return bool(self.blocks)
-
 
 EMPTY_DEPS = DependencyRelation(frozenset())
 

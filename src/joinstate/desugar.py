@@ -256,31 +256,16 @@ class Desugarer:
             raise DesugarError(
                 "an anonymous block must contain exactly one rule", block.pos
             )
-        srule = block.rules[0]
         anon = self.fresh("anon")
-        seen: set[str] = set()
-        pattern: list[PatMsg] = []
-        env2 = dict(env)
-        for pat in srule.pattern:
-            params = []
-            for pname, ann in pat.params:
-                if ann is not None:
-                    raise DesugarError(
-                        "anonymous block parameters take their types from the "
-                        "receiving slot and cannot be annotated",
-                        pat.pos,
-                    )
-                if pname in seen:
-                    raise DesugarError(
-                        f"pattern variable {pname!r} repeated", pat.pos
-                    )
-                seen.add(pname)
-                fresh = self.fresh(pname)
-                params.append(fresh)
-                env2[pname] = Var(fresh)
-            pattern.append(PatMsg(pat.tag, tuple(params)))
-        body = self.process(srule.body, env2)
-        wrap = self.closure(anon, tuple(pattern), body, receiver, tag, index, block.pos)
+        rule, _ = self.lower_rule(
+            block.rules[0],
+            env,
+            "anonymous block parameters take their types from the receiving "
+            "slot and cannot be annotated",
+        )
+        wrap = self.closure(
+            anon, rule.pattern, rule.body, receiver, tag, index, block.pos
+        )
         return anon, wrap
 
     # --- expressions -------------------------------------------------------
@@ -397,49 +382,44 @@ class Desugarer:
         env2[p.names[0]] = value
         return self.apply_wrappers(self.process(p.body, env2), wrappers)
 
-    def lower_rules(
-        self, rules: list[sf.SRule], env: dict[str, Expr], annotated: bool
-    ) -> tuple[list[Rule], list[list[TypeExpr]]]:
-        out: list[Rule] = []
-        annotations: list[list[TypeExpr]] = []
-        for srule in rules:
-            seen: set[str] = set()
-            pattern: list[PatMsg] = []
-            env2 = dict(env)
-            anns: list[TypeExpr] = []
-            for pat in srule.pattern:
-                params = []
-                for pname, ann in pat.params:
-                    if pname in seen:
+    def lower_rule(
+        self, srule: sf.SRule, env: dict[str, Expr], refuse: str | None
+    ) -> tuple[Rule, list[TypeExpr]]:
+        """Lower one rule with fresh binders for its pattern variables.
+        `refuse` is the error for an annotated variable; with None, as for
+        class rules, every variable needs an annotation, and the annotations
+        are returned in order."""
+        seen: set[str] = set()
+        pattern: list[PatMsg] = []
+        env2 = dict(env)
+        anns: list[TypeExpr] = []
+        for pat in srule.pattern:
+            params = []
+            for pname, ann in pat.params:
+                if pname in seen:
+                    raise DesugarError(f"pattern variable {pname!r} repeated", pat.pos)
+                seen.add(pname)
+                if refuse is None:
+                    if ann is None:
                         raise DesugarError(
-                            f"pattern variable {pname!r} repeated", pat.pos
+                            f"class rule parameter {pname!r} needs a type annotation",
+                            pat.pos,
                         )
-                    seen.add(pname)
-                    if annotated:
-                        if ann is None:
-                            raise DesugarError(
-                                f"class rule parameter {pname!r} needs a type "
-                                "annotation",
-                                pat.pos,
-                            )
-                        anns.append(ann)
-                    elif ann is not None:
-                        raise DesugarError(
-                            "only class rule parameters take annotations", pat.pos
-                        )
-                    fresh = self.fresh(pname)
-                    params.append(fresh)
-                    env2[pname] = Var(fresh)
-                pattern.append(PatMsg(pat.tag, tuple(params)))
-            out.append(Rule(tuple(pattern), self.process(srule.body, env2)))
-            annotations.append(anns)
-        return out, annotations
+                    anns.append(ann)
+                elif ann is not None:
+                    raise DesugarError(refuse, pat.pos)
+                fresh = self.fresh(pname)
+                params.append(fresh)
+                env2[pname] = Var(fresh)
+            pattern.append(PatMsg(pat.tag, tuple(params)))
+        return Rule(tuple(pattern), self.process(srule.body, env2)), anns
 
     def new_object(self, p: sf.SNew, env: dict[str, Expr]) -> Process:
         name = self.fresh(p.name)
         env2 = dict(env)
         env2[p.name] = Var(name)
-        rules, _ = self.lower_rules(p.rules, env2, annotated=False)
+        refuse = "only class rule parameters take annotations"
+        rules = [self.lower_rule(r, env2, refuse)[0] for r in p.rules]
         body = self.process(p.body, env2)
         return NewObj(
             name, p.type, rules, body, self.fresh_node(), False, None, p.pos
@@ -450,14 +430,12 @@ class Desugarer:
         self.stateless.add(name)
         env2 = dict(env)
         env2[p.name] = Var(name)
-        slots = []
+        if any(len(srule.pattern) != 1 for srule in p.rules):
+            raise DesugarError("a class rule matches exactly one message", p.pos)
+        rules, slots = [], []
         for srule in p.rules:
-            if len(srule.pattern) != 1:
-                raise DesugarError(
-                    "a class rule matches exactly one message", p.pos
-                )
-        rules, annotations = self.lower_rules(p.rules, env2, annotated=True)
-        for srule, anns in zip(p.rules, annotations):
+            rule, anns = self.lower_rule(srule, env2, None)
+            rules.append(rule)
             slots.append(ty.Msg(srule.pattern[0].tag, tuple(anns)))
         decl = ty.Star(ty.Sum(slots))
         body = self.process(p.body, env2)

@@ -179,9 +179,9 @@ KEYWORDS = {
 }
 
 # Blanks, then one alternative per token class, tried in order; `other`
-# takes any other character but a blank, so trailing blanks match nothing.  `\w` is exactly `str.isalnum()`
-# or `_`, and `\d` the decimal digits, the only digits `float()` reads.  A
-# dot joins a number unless a letter follows.
+# takes any other character but a blank, so trailing blanks match nothing.
+# `\w` is exactly `str.isalnum()` or `_`, and `\d` the decimal digits, the
+# only digits `float()` reads.  A dot joins a number unless a letter follows.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:"
     r"(?P<newline>\n)"
@@ -262,6 +262,7 @@ def _nested(rule):
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.kinds = [t.kind for t in tokens]
         self.i = 0
         self.depth = 0
         self.type_refs: list[tuple[str, Pos]] = []
@@ -270,76 +271,80 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(
-                f"nested more than {MAX_NESTING} levels deep", self.tok.pos
+                f"nested more than {MAX_NESTING} levels deep", self.tokens[self.i].pos
             )
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.i]
-
-    def at(self, *kinds: str) -> bool:
-        return self.tok.kind in kinds
+    def accept(self, kind: str) -> bool:
+        """Step over a token of the given kind, if one is next."""
+        if self.kinds[self.i] == kind:
+            self.i += 1
+            return True
+        return False
 
     def advance(self) -> Token:
-        t = self.tok
         self.i += 1
-        return t
+        return self.tokens[self.i - 1]
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.tok.kind != kind:
-            want = what or kind
-            raise ParseError(f"expected {want}, found {self.tok.text!r}", self.tok.pos)
-        return self.advance()
+        t = self.advance()
+        if t.kind != kind:
+            raise ParseError(f"expected {what or kind}, found {t.text!r}", t.pos)
+        return t
+
+    def listed(self, item, sep: str) -> list:
+        """One or more items, separated by `sep`."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return out
+
+    def arguments(self, item) -> list:
+        """An optional parenthesized list, possibly empty: `(a, b)`, `()`."""
+        if not self.accept("(") or self.accept(")"):
+            return []
+        out = self.listed(item, ",")
+        self.expect(")")
+        return out
+
+    def block(self) -> list[SRule]:
+        self.expect("[")
+        rules = self.listed(self.rule, "|")
+        self.expect("]")
+        return rules
 
     # types
 
     @_nested
     def type_expr(self) -> TypeExpr:
-        parts = [self.type_prod()]
-        while self.at("+"):
-            self.advance()
-            parts.append(self.type_prod())
+        parts = self.listed(self.type_prod, "+")
         return parts[0] if len(parts) == 1 else ty.Sum(tuple(parts))
 
     def type_prod(self) -> TypeExpr:
-        parts = [self.type_star()]
-        while self.at("."):
-            self.advance()
-            parts.append(self.type_star())
+        parts = self.listed(self.type_star, ".")
         return parts[0] if len(parts) == 1 else ty.Prod(tuple(parts))
 
     @_nested
     def type_star(self) -> TypeExpr:
-        if self.at("*"):
-            self.advance()
+        if self.accept("*"):
             return ty.Star(self.type_star())
         return self.type_atom()
 
     def type_atom(self) -> TypeExpr:
-        t = self.tok
+        t = self.advance()
         if t.kind == "number" and t.text in ("0", "1"):
-            self.advance()
             return ty.ZERO if t.text == "0" else ty.ONE
         if t.kind == "tyname":
-            self.advance()
             if t.text in ty.BUILTIN_TYPES:
                 return ty.BUILTIN_TYPES[t.text]
             self.type_refs.append((t.text, t.pos))
             return ty.Ref(t.text)
         if t.kind == "uident":
-            self.advance()
-            args: tuple[TypeExpr, ...] = ()
-            if self.at("("):
-                self.advance()
-                lst = [self.type_expr()]
-                while self.at(","):
-                    self.advance()
-                    lst.append(self.type_expr())
+            args: list[TypeExpr] = []
+            if self.accept("("):
+                args = self.listed(self.type_expr, ",")
                 self.expect(")")
-                args = tuple(lst)
-            return ty.Msg(t.text, args)
+            return ty.Msg(t.text, tuple(args))
         if t.kind == "(":
-            self.advance()
             inner = self.type_expr()
             self.expect(")")
             return inner
@@ -349,94 +354,71 @@ class _Parser:
 
     def program(self) -> SurfaceAST:
         decls: list[tuple[str, TypeExpr]] = []
-        while self.at("type"):
-            self.advance()
-            while True:
-                name = self.expect("tyname", "a type name").text
-                self.expect("=")
-                decls.append((name, self.type_expr()))
-                if self.at("and"):
-                    self.advance()
-                    continue
-                break
+        while self.accept("type"):
+            decls += self.listed(self.type_decl, "and")
         proc = self.process()
         self.expect("eof", "end of input")
         return SurfaceAST(decls, proc, self.type_refs)
 
+    def type_decl(self) -> tuple[str, TypeExpr]:
+        name = self.expect("tyname", "a type name").text
+        self.expect("=")
+        return (name, self.type_expr())
+
     @_nested
     def process(self) -> SProc:
-        parts = [self.proc_term()]
-        while self.at("&"):
-            self.advance()
-            parts.append(self.proc_term())
+        parts = self.listed(self.proc_term, "&")
         return parts[0] if len(parts) == 1 else SPar(parts)
 
     def proc_term(self) -> SProc:
-        t = self.tok
+        t = self.tokens[self.i]
+        if t.kind in ("ident", "uident"):
+            return self.send()
+        self.i += 1
         if t.kind == "done":
-            self.advance()
             return SDone()
         if t.kind == "new":
-            self.advance()
             name = self.name_token().text
             self.expect(":")
             decl = self.type_expr()
-            if self.at("="):
-                self.advance()
-            self.expect("[")
-            rules = self.rules()
-            self.expect("]")
+            self.accept("=")
+            rules = self.block()
             self.expect("in")
             return SNew(name, decl, rules, self.process(), t.pos)
         if t.kind == "class":
-            self.advance()
             name = self.expect("uident", "a class name").text
-            self.expect("[")
-            rules = self.rules()
-            self.expect("]")
+            rules = self.block()
             # A class scopes over everything that follows it.
             return SClass(name, rules, self.process(), t.pos)
         if t.kind == "let":
-            self.advance()
-            names = [self.expect("ident", "a variable").text]
-            while self.at(","):
-                self.advance()
-                names.append(self.expect("ident", "a variable").text)
+            names = self.listed(lambda: self.expect("ident", "a variable").text, ",")
             self.expect("=")
             rhs = self.expr()
             self.expect("in")
             return SLet(names, rhs, self.process(), t.pos)
         if t.kind == "if":
-            self.advance()
             cond = self.expr()
             self.expect("then")
             then = self.process()
             self.expect("else")
-            els = self.process()
-            return SIf(cond, then, els, t.pos)
+            return SIf(cond, then, self.process(), t.pos)
         if t.kind == "(":
-            self.advance()
             inner = self.process()
             self.expect(")")
             return inner
-        if t.kind in ("ident", "uident"):
-            return self.send()
         raise ParseError(f"expected a process, found {t.text!r}", t.pos)
 
     def name_token(self) -> Token:
-        if self.at("ident", "uident"):
-            return self.advance()
-        raise ParseError(f"expected a name, found {self.tok.text!r}", self.tok.pos)
+        t = self.advance()
+        if t.kind in ("ident", "uident"):
+            return t
+        raise ParseError(f"expected a name, found {t.text!r}", t.pos)
 
     def send(self) -> SSend:
         target = self.name_token()
         self.expect("!")
-        if self.at("("):
-            self.advance()
-            msgs = [self.message()]
-            while self.at("&"):
-                self.advance()
-                msgs.append(self.message())
+        if self.accept("("):
+            msgs = self.listed(self.message, "&")
             self.expect(")")
         else:
             msgs = [self.message()]
@@ -444,58 +426,27 @@ class _Parser:
 
     def message(self) -> SMsg:
         tag = self.expect("uident", "a message tag")
-        args: list[SExpr] = []
-        if self.at("("):
-            self.advance()
-            if not self.at(")"):
-                args.append(self.expr())
-                while self.at(","):
-                    self.advance()
-                    args.append(self.expr())
-            self.expect(")")
-        return SMsg(tag.text, args, tag.pos)
-
-    def rules(self) -> list[SRule]:
-        out = [self.rule()]
-        while self.at("|"):
-            self.advance()
-            out.append(self.rule())
-        return out
+        return SMsg(tag.text, self.arguments(self.expr), tag.pos)
 
     def rule(self) -> SRule:
-        pattern = [self.pat_msg()]
-        while self.at("&"):
-            self.advance()
-            pattern.append(self.pat_msg())
+        pattern = self.listed(self.pat_msg, "&")
         self.expect("|>", "'|>' or '▶'")
         return SRule(pattern, self.process())
 
     def pat_msg(self) -> SPatMsg:
         tag = self.expect("uident", "a message tag")
-        params: list[tuple[str, Optional[TypeExpr]]] = []
-        if self.at("("):
-            self.advance()
-            if not self.at(")"):
-                params.append(self.pat_param())
-                while self.at(","):
-                    self.advance()
-                    params.append(self.pat_param())
-            self.expect(")")
-        return SPatMsg(tag.text, params, tag.pos)
+        return SPatMsg(tag.text, self.arguments(self.pat_param), tag.pos)
 
     def pat_param(self) -> tuple[str, Optional[TypeExpr]]:
         name = self.expect("ident", "a pattern variable").text
-        if self.at(":"):
-            self.advance()
-            return (name, self.type_expr())
-        return (name, None)
+        return (name, self.type_expr() if self.accept(":") else None)
 
     # expressions
 
     @_nested
     def expr(self) -> SExpr:
         left = self.additive()
-        if self.at("=", "!=", "<", "<=", ">", ">="):
+        if self.kinds[self.i] in ("=", "!=", "<", "<=", ">", ">="):
             op = self.advance()
             right = self.additive()
             text = "==" if op.kind == "=" else op.kind
@@ -512,7 +463,7 @@ class _Parser:
         """`a op b op ...`, nested to the left: each operator is a level."""
         depth = self.depth
         left = operand()
-        while self.at(*ops):
+        while self.kinds[self.i] in ops:
             op = self.advance()
             self.enter()
             left = SBinOp(op.kind, left, operand(), op.pos)
@@ -521,44 +472,28 @@ class _Parser:
 
     @_nested
     def unary(self) -> SExpr:
-        if self.at("-"):
+        if self.kinds[self.i] == "-":
             op = self.advance()
             return SBinOp("-", SNum(0.0), self.unary(), op.pos)
         return self.primary()
 
     def primary(self) -> SExpr:
-        t = self.tok
+        t = self.tokens[self.i]
+        if t.kind == "[":
+            return SBlock(self.block(), t.pos)
+        self.i += 1
         if t.kind == "number":
-            self.advance()
             return SNum(float(t.text))
         if t.kind in ("true", "false"):
-            self.advance()
             return SBool(t.kind == "true")
         if t.kind == "(":
-            self.advance()
             inner = self.expr()
             self.expect(")")
             return inner
-        if t.kind == "[":
-            self.advance()
-            rules = self.rules()
-            self.expect("]")
-            return SBlock(rules, t.pos)
         if t.kind in ("ident", "uident"):
-            self.advance()
-            if self.at("."):
-                self.advance()
+            if self.accept("."):
                 tag = self.expect("uident", "a message tag")
-                args: list[SExpr] = []
-                if self.at("("):
-                    self.advance()
-                    if not self.at(")"):
-                        args.append(self.expr())
-                        while self.at(","):
-                            self.advance()
-                            args.append(self.expr())
-                    self.expect(")")
-                return SCall(t.text, tag.text, args, t.pos)
+                return SCall(t.text, tag.text, self.arguments(self.expr), t.pos)
             return SVar(t.text, t.pos)
         raise ParseError(f"expected an expression, found {t.text!r}", t.pos)
 

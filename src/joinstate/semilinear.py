@@ -7,8 +7,10 @@ and argument determinacy become vector problems.
 
 Subtyping is exact whenever it answers No or proves inclusion through the
 syntactic fast path; otherwise it checks every vector of the supertype with
-at most `bound` periods added and answers YesBounded, which callers may
-treat as success with a recorded caveat.
+at most `bound` periods added.  That is exhaustive for a component without
+periods; when some checked component has periods, or an argument check
+answered YesBounded, the answer is YesBounded, which callers may treat as
+success with a recorded caveat.
 
 Each of those checks is a table lookup.  One `_subtype` call builds a bitset
 of the subtype's Parikh image over the box of counts the checked vectors can
@@ -256,6 +258,9 @@ class SubtypeEngine:
         self.bound = bound
         self._cache: dict[tuple[TypeExpr, TypeExpr], Verdict] = {}
         self._in_progress: set[tuple[TypeExpr, TypeExpr]] = set()
+        # Set when an argument check of the current `_subtype` call answered
+        # yes-bounded, so that the call cannot answer an exact yes.
+        self._args_bounded = False
 
     def subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         key = (t, s)
@@ -265,10 +270,14 @@ class SubtypeEngine:
             return YES  # coinductive assumption
         outermost = not self._in_progress
         self._in_progress.add(key)
+        outer_bounded, self._args_bounded = self._args_bounded, False
         try:
             verdict = self._subtype(t, s)
+            if verdict.kind == "yes" and self._args_bounded:
+                verdict = Verdict("yes-bounded", bound=self.bound)
         finally:
             self._in_progress.discard(key)
+            self._args_bounded = outer_bounded
         # Positive verdicts reached under pending assumptions are provisional;
         # only negative ones are stable enough to keep in that case.
         if outermost or not verdict.holds:
@@ -292,7 +301,13 @@ class SubtypeEngine:
         # arguments are contravariant.
         if sup.tag != sub.tag or len(sup.args) != len(sub.args):
             return False
-        return all(self.subtype(a, b).holds for a, b in zip(sup.args, sub.args))
+        for a, b in zip(sup.args, sub.args):
+            verdict = self.subtype(a, b)
+            if not verdict.holds:
+                return False
+            if verdict.kind == "yes-bounded":
+                self._args_bounded = True
+        return True
 
     def _subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         alg = self.alg
@@ -304,6 +319,9 @@ class SubtypeEngine:
         t_comps = parikh(alg, t, alphabet)
         s_comps = parikh(alg, s, alphabet)
         matcher: _Matcher | None = None
+        # A component without periods is one vector, which the matcher
+        # checks exhaustively; only periods leave vectors past the bound.
+        bounded = False
         for comp in s_comps:
             if self._fast_include(comp, t_comps, alphabet):
                 continue
@@ -312,9 +330,8 @@ class SubtypeEngine:
             missing = self._bounded_include(comp, matcher, alphabet)
             if missing is not None:
                 return Verdict("no", counterexample=missing)
-        if matcher is None:
-            return YES
-        return Verdict("yes-bounded", bound=self.bound)
+            bounded = bounded or any(any(p) for p in comp.periods)
+        return Verdict("yes-bounded", bound=self.bound) if bounded else YES
 
     def _fast_include(
         self, comp: LinearSet, t_comps: list[LinearSet], alphabet: Alphabet

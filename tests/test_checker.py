@@ -155,6 +155,27 @@ class TestProtocolViolations:
         assert "ProtocolViolation" in report.codes()
 
 
+class TestBoundedUses:
+    def test_bounded_argument_check_is_reported(self):
+        # K's argument is accepted only up to the engine's bound, so the use
+        # of x is a bounded one.
+        report = check_source(
+            "type #T = (B + D + *C) . (M(C) + C . D)\n"
+            "new x : *K(*#T) [ K(y) |> done ] in\n"
+            "new o : *Use(*K(1 + #T . *#T)) [ Use(z) |> done ] in\n"
+            "o!Use(x)\n"
+        )
+        assert report.verdict == "accepted"
+        assert report.bounded_subtype_uses == [
+            {
+                "context": "usage of x#1",
+                "declared": "*K(*#T)",
+                "usage": "*K(1 + #T . *#T)",
+                "bound": 4,
+            }
+        ]
+
+
 class TestLiveness:
     def test_unhandled_branch_with_relevant_argument(self):
         # A configuration holding an A never triggers the only rule, and A

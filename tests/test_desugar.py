@@ -103,6 +103,40 @@ class TestBasics:
         with pytest.raises(DesugarError, match="repeated"):
             load_program("new a : A(B, B) [ A(x, x) |> done ] in done")
 
+    @pytest.mark.parametrize(
+        "src,message",
+        [
+            (
+                "new a : A(B) [ A(x: B) |> done ] in done",
+                "1:16: only class rule parameters take annotations",
+            ),
+            (
+                "class K [ New(n: #Number, r) |> done ] done",
+                "1:11: class rule parameter 'r' needs a type annotation",
+            ),
+            (
+                "class K [ M(n: #Number) & N |> done ] done",
+                "1:1: a class rule matches exactly one message",
+            ),
+            (
+                "new o : M(R(#Number)) [ M(r) |> done ] in "
+                "o!M([ R(v: #Number) |> done ])",
+                "1:49: anonymous block parameters take their types from the "
+                "receiving slot and cannot be annotated",
+            ),
+            # Repetition is reported first in every kind of block.
+            (
+                "new o : M(R(#Number, #Number)) [ M(r) |> done ] in "
+                "o!M([ R(v, v: #Number) |> done ])",
+                "1:58: pattern variable 'v' repeated",
+            ),
+        ],
+    )
+    def test_pattern_variable_errors(self, src, message):
+        with pytest.raises(DesugarError) as info:
+            load_program(src)
+        assert str(info.value) == message
+
 
 class TestClasses:
     def test_class_becomes_stateless_star(self):

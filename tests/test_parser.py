@@ -278,6 +278,57 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_program("done done")
 
+    @pytest.mark.parametrize(
+        "parse,src,message,pos",
+        [
+            (parse_type, "M()", "expected a type, found ')'", (1, 3)),
+            (parse_program, "o!M(1,)", "expected an expression, found ')'", (1, 7)),
+            (parse_program, "o!()", "expected a message tag, found ')'", (1, 4)),
+            (
+                parse_program,
+                "new x : A [ A(y,) |> done ] in done",
+                "expected a pattern variable, found ')'",
+                (1, 17),
+            ),
+            (
+                parse_program,
+                "let a, = o.M in done",
+                "expected a variable, found '='",
+                (1, 8),
+            ),
+            (
+                parse_program,
+                "type #A = 1 and done",
+                "expected a type name, found 'done'",
+                (1, 17),
+            ),
+            (
+                parse_program,
+                "class K [ M(n: #Number) |> done | ] done",
+                "expected a message tag, found ']'",
+                (1, 35),
+            ),
+            (parse_program, "if x then done", "expected else, found ''", (1, 15)),
+        ],
+    )
+    def test_list_and_keyword_errors(self, parse, src, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert (info.value.plain_message, info.value.pos) == (message, pos)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "o!M()",
+            "new x : A [ A() |> done ] in done",
+            "let v = o.M() in done",
+            "new x : A = [ A |> done ] in done",
+            "type #A = 1 and #B = #A done",
+        ],
+    )
+    def test_empty_lists_and_optional_tokens_parse(self, src):
+        parse_program(src)
+
 
 class TestNesting:
     # Far past Python's recursion limit for a recursive-descent parser.

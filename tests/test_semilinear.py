@@ -163,6 +163,20 @@ class TestSubtype:
         v = self.engine.subtype(M, Star(M))
         assert v.kind == "no" and v.counterexample == ()
 
+    def test_bounded_argument_keeps_the_bound(self):
+        # Criterion 8's sample #173: its star-unfold law holds only up to
+        # the bound, and a message carrying both sides must say so too.
+        rng = random.Random(42)
+        t = [random_type(rng) for _ in range(174)][173]
+        assert ty.render(t) == "(B + D + *C) . (M(C) + C . D)"
+        star = Star(t)
+        unfold = Sum((ONE, Prod((t, star))))
+        assert self.engine.subtype(star, unfold).kind == "yes-bounded"
+        for a, b in [(star, unfold), (unfold, star)]:
+            assert SubtypeEngine(TypeAlgebra()).subtype(
+                msg("K", a), msg("K", b)
+            ).kind == "yes-bounded", (a, b)
+
 
 def random_linear_set(rng, n):
     base = tuple(rng.randint(0, 2) for _ in range(n))
@@ -234,8 +248,9 @@ class TestMembershipTable:
         wide = msg("M", Sum((a, b)))
         narrow = Prod((msg("M", a), msg("M", b)))
         engine = SubtypeEngine(TypeAlgebra())
-        # Each M(A + B) is matched by M(A) or M(B), never the other way.
-        assert engine.subtype(narrow, Prod((wide, wide))).kind == "yes-bounded"
+        # Each M(A + B) is matched by M(A) or M(B), never the other way.  The
+        # supertype's one vector is checked exhaustively, so the yes is exact.
+        assert engine.subtype(narrow, Prod((wide, wide))).kind == "yes"
         verdict = engine.subtype(Prod((wide, wide)), narrow)
         assert verdict.kind == "no"
         assert verdict.counterexample == (msg("M", a), msg("M", b))

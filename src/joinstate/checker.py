@@ -102,7 +102,6 @@ class ObjectInfo:
     patterns: list[dict[str, int]]
     live: bool
     stateless: bool
-    node_id: int
 
     def to_json(self):
         return {
@@ -435,7 +434,7 @@ class Checker:
                 p.pos,
             )
         self.report.objects.append(
-            ObjectInfo(p.name, decl, patterns, is_live, p.stateless, p.node_id)
+            ObjectInfo(p.name, decl, patterns, is_live, p.stateless)
         )
 
         env, deps = self.check_process(p.body)
@@ -631,19 +630,18 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
     return Checker(program, bound).run()
 
 
-def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
-    """Every object's declared type, by node id, without full checking and
+def resolve_closure_types(program: CoreProgram) -> dict[Name, TypeExpr]:
+    """Every object's, continuation's and rule variable's declared type, by
+    binder: the checker's own declarations, made without full checking and
     without writing into the program, so the runtime executes checked and
-    unchecked programs alike.  A continuation's base is the checker's own
-    `closure_base` (1 where the checker rejects it), with CLOSURE argument
-    types approximated by the captured names' declared types: the runtime
-    follows message tags, and only asks whether a leftover CLOSURE message's
-    arguments are relevant.  A rule's variables take the argument types of
-    the slots its whole pattern resolves to, as in `Checker.bind_pattern`,
-    and 1 where that fails."""
-    checker = Checker(program)  # only its decls and algebra are used
+    unchecked programs alike.  A continuation's base is `closure_base` (1
+    where the checker rejects it), with CLOSURE argument types approximated
+    by the captured names' declared types: the runtime follows message
+    tags, and only asks whether a leftover CLOSURE message's arguments are
+    relevant.  `bind_pattern` declares each rule's variables up to where
+    it rejects the pattern; the rest stay undeclared, that is of type 1."""
+    checker = Checker(program)  # only its declarations are kept
     decls = checker.decls
-    out: dict[int, TypeExpr] = {}
 
     def resolve(p: Process):
         if isinstance(p, Par):
@@ -661,18 +659,11 @@ def resolve_closure_types(program: CoreProgram) -> dict[int, TypeExpr]:
                 decl = closure_decl(
                     base, tuple(decls.get(n, ty.ONE) for n in spec.captured)
                 )
-            out[p.node_id] = decls[p.name] = decl
+            decls[p.name] = decl
             for rule in p.rules:
-                tags: dict[str, int] = {}
-                for m in rule.pattern:
-                    tags[m.tag] = tags.get(m.tag, 0) + 1
-                slots = arg_determinate(checker.alg, decl, tags).assignment
-                for m in rule.pattern:
-                    args = slots[m.tag].args if slots else ()
-                    for i, param in enumerate(m.params):
-                        decls[param] = args[i] if i < len(args) else ty.ONE
+                checker.bind_pattern(decl, rule.pattern, "rule", p.pos)
                 resolve(rule.body)
             resolve(p.body)
 
     resolve(program.process)
-    return out
+    return decls

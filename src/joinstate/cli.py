@@ -31,7 +31,7 @@ from collections import Counter
 from .checker import Checker, check_program
 from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
-from .runtime import RUNTIME_FAULTS, Soup, run
+from .runtime import run
 from .semilinear import SubtypeEngine, joint_alphabet, live, parikh
 from .types import TypeAlgebra, TypeDeclError, render
 
@@ -310,25 +310,15 @@ def cmd_fuzz(args) -> int:
     invariant_failures = 0
     first = _seed(args)
     for seed in range(first, first + args.seeds):
-        if args.check_solution:
-            try:
-                soup = Soup(program, seed=seed, monitors=monitors)
-                ok = soup.check_solution()
-                while ok and soup.steps < args.max_steps and soup.violation is None:
-                    if not soup.step():
-                        break
-                    ok = soup.check_solution()
-            except RUNTIME_FAULTS:
-                ok = True  # the run below reports the fault
-            if not ok:
-                invariant_failures += 1
         result = run(
             program,
             seed=seed,
             max_steps=args.max_steps,
             monitors=monitors,
+            check_solution=args.check_solution,
         )
         verdicts[result.verdict] += 1
+        invariant_failures += result.invariant_failed
         if result.verdict in ("MonitorViolation", "Deadlocked", "RuntimeFault"):
             violations += 1
     if args.expect_violation:

@@ -133,8 +133,9 @@ class ClosureSpec:
     of the `tag` slot of `target`; index -1 is the trailing argument, the
     reply of a synchronous call.  `checker.Checker.closure_base` is the one
     reader of that slot, for the checker and for the runtime
-    (`checker.resolve_closure_types`) alike; neither writes the type into
-    the program, whose `NewObj.decl` stays None."""
+    (`checker.resolve_closure_types`, which declares the object by binder)
+    alike; neither writes the type into the program, whose `NewObj.decl`
+    stays None."""
 
     captured: tuple[Name, ...]
     target: Name
@@ -148,7 +149,6 @@ class NewObj(Process):
     decl: Optional[TypeExpr]  # None when the type comes from a ClosureSpec
     rules: list[Rule]
     body: Process
-    node_id: int = 0
     stateless: bool = False
     closure: Optional[ClosureSpec] = None
     pos: Optional[Pos] = None

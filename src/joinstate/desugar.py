@@ -148,7 +148,7 @@ def rename(p: Process, mapping: dict[Name, Name]) -> Process:
                 )
             rules = [Rule(r.pattern, go(r.body)) for r in q.rules]
             return NewObj(
-                q.name, q.decl, rules, go(q.body), q.node_id, q.stateless, closure, q.pos
+                q.name, q.decl, rules, go(q.body), q.stateless, closure, q.pos
             )
         raise TypeError(f"not a process: {q!r}")
 
@@ -158,7 +158,6 @@ def rename(p: Process, mapping: dict[Name, Name]) -> Process:
 class Desugarer:
     def __init__(self):
         self._uid = 0
-        self._node = 0
         # Class objects are replicated definitions in scope for the rest of
         # the program; continuations never need to capture them.
         self.stateless: set[Name] = set()
@@ -166,10 +165,6 @@ class Desugarer:
     def fresh(self, text: str) -> Name:
         self._uid += 1
         return Name(text, self._uid)
-
-    def fresh_node(self) -> int:
-        self._node += 1
-        return self._node
 
     # --- environment helpers ----------------------------------------------
 
@@ -222,7 +217,7 @@ class Desugarer:
                     obj, (SendMsg(CLOSURE_TAG, tuple(Var(n) for n in captured)),), pos
                 )
                 proc = Par((prime, proc))
-            return NewObj(obj, None, [rule], proc, self.fresh_node(), False, spec, pos)
+            return NewObj(obj, None, [rule], proc, False, spec, pos)
 
         return wrap
 
@@ -421,9 +416,7 @@ class Desugarer:
         refuse = "only class rule parameters take annotations"
         rules = [self.lower_rule(r, env2, refuse)[0] for r in p.rules]
         body = self.process(p.body, env2)
-        return NewObj(
-            name, p.type, rules, body, self.fresh_node(), False, None, p.pos
-        )
+        return NewObj(name, p.type, rules, body, False, None, p.pos)
 
     def class_object(self, p: sf.SClass, env: dict[str, Expr]) -> Process:
         name = self.fresh(p.name)
@@ -439,9 +432,7 @@ class Desugarer:
             slots.append(ty.Msg(srule.pattern[0].tag, tuple(anns)))
         decl = ty.Star(ty.Sum(slots))
         body = self.process(p.body, env2)
-        return NewObj(
-            name, decl, rules, body, self.fresh_node(), True, None, p.pos
-        )
+        return NewObj(name, decl, rules, body, True, None, p.pos)
 
 
 def desugar(ast: sf.SurfaceAST, source_name: str = "<input>") -> CoreProgram:

@@ -126,6 +126,8 @@ class RunResult:
     # What broke the protocol, or the fault.
     violation: Optional[str] = None
     created: dict[str, int] = field(default_factory=dict)
+    # Whether Soup.check_solution failed along the run, when it was tested.
+    invariant_failed: bool = False
 
 
 def _fmt(v: Value) -> str:
@@ -169,8 +171,9 @@ class Soup:
         self._enabled = _Fenwick()
         # An ordered set, so monitors run in a seed-determined order.
         self._touched: dict[Instance, None] = {}
-        # (node id, per-tag message counts) -> residual, for consumption.
-        self._residuals: dict[tuple[int, tuple], TypeExpr] = {}
+        # (declared type, per-tag message counts) -> residual, for
+        # consumption.  Types are interned, so equal protocols share entries.
+        self._residuals: dict[tuple[TypeExpr, tuple], TypeExpr] = {}
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
@@ -189,7 +192,7 @@ class Soup:
         extended with it, the object's own env and its body's too."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
         env = {**env, node.name.uid: oid}
-        inst = Instance(oid, node, env, rules, self.decls[node.node_id])
+        inst = Instance(oid, node, env, rules, self.decls[node.name])
         if self.monitors:
             # The mailbox is empty, so nothing has been derived yet.
             inst.residual = inst.decl
@@ -224,7 +227,7 @@ class Soup:
 
     def residual(self, inst: Instance) -> TypeExpr:
         """The declared type derived afresh by the mailbox's tags."""
-        key = (id(inst.node), tuple(
+        key = (inst.decl, tuple(
             (tag, sum(msgs.values())) for tag, msgs in sorted(inst.mailbox.items())
         ))
         out = self._residuals.get(key)
@@ -388,16 +391,24 @@ def run(
     max_steps: int = 100_000,
     monitors: bool = True,
     trace: bool = False,
+    check_solution: bool = False,
 ) -> RunResult:
+    """Run program from seed until it quiesces, a monitor or fault stops
+    it, or max_steps steps have fired.  With check_solution, the soup's
+    re-typing invariant is tested on the initial soup and after every step
+    until it first fails."""
     soup: Optional[Soup] = None
-    verdict, stuck = "StepBudgetExhausted", []
+    verdict, stuck, failed = "StepBudgetExhausted", [], False
     try:
         soup = Soup(program, seed=seed, monitors=monitors, trace=trace)
+        failed = check_solution and not soup.check_solution()
         while soup.violation is None and soup.steps < max_steps:
             if not soup.step():
                 stuck = soup.quiesce()
                 verdict = "Deadlocked" if stuck else "Terminated"
                 break
+            if check_solution and not failed:
+                failed = not soup.check_solution()
     except RUNTIME_FAULTS as exc:
         fault = f"{type(exc).__name__}: {exc}"
         if soup is None:
@@ -413,6 +424,7 @@ def run(
         deadlocked=[repr(o) for o in stuck],
         violation=soup.violation,
         created=soup.created,
+        invariant_failed=failed,
     )
 
 

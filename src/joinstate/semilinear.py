@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .types import Config, Msg, TypeAlgebra, TypeExpr, sort_key
+from .types import Config, Msg, TypeAlgebra, TypeDeclError, TypeExpr, sort_key
 
 Vector = tuple[int, ...]
 
@@ -55,7 +55,8 @@ def _scale_add(u: Vector, v: Vector, k: int) -> Vector:
 
 
 def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
-    """The message slots of the given types, in sort order; memoized on alg."""
+    """The message slots of the given types, in sort order; memoized on alg.
+    A tag that comes with two arities is a TypeDeclError."""
     alphabet = alg.alphabet_memo.get(types)
     if alphabet is not None:
         return alphabet
@@ -66,7 +67,7 @@ def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
     arities: dict[str, int] = {}
     for m in alphabet:
         if arities.setdefault(m.tag, len(m.args)) != len(m.args):
-            raise ValueError(f"tag {m.tag} used with inconsistent arities")
+            raise TypeDeclError(f"tag {m.tag} used with inconsistent arities")
     alg.alphabet_memo[types] = alphabet
     return alphabet
 

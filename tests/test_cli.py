@@ -11,7 +11,7 @@ import pytest
 
 from joinstate.cli import main
 from joinstate.desugar import load_program
-from joinstate.runtime import run
+from joinstate.runtime import Soup, run
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -114,6 +114,36 @@ class TestCheck:
         assert main(["run", str(src)]) == 0
         assert capsys.readouterr().out.splitlines() == ["3"]
 
+    # A tag with two arities in one subtype question: in a declared type,
+    # in a subtype check between #A and #B, and on the way to a run.
+    MIXED_ARITY = "new o : M(N) . M [ M(x) |> done ] in done"
+    MIXED_ARITY_SUBTYPE = """
+    type #A = M(N) and #B = M
+    new k : K(#B) [ K(x) |> x!M ] in
+    new a : #A [ M(n) |> done ] in
+    k!K(a)
+    """
+
+    @pytest.mark.parametrize(
+        "argv,src",
+        [
+            (["explain", "--type", "M(A) . M", "--parikh"], None),
+            (["check"], MIXED_ARITY),
+            (["check"], MIXED_ARITY_SUBTYPE),
+            (["run", "--no-typecheck"], MIXED_ARITY),
+        ],
+        ids=["explain-type", "check-decl", "check-subtype", "run-unchecked"],
+    )
+    def test_mixed_tag_arities_are_a_data_error(self, tmp_path, capsys, argv, src):
+        if src is not None:
+            bad = tmp_path / "arity.cob"
+            bad.write_text(src)
+            argv = [*argv, str(bad)]
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            "joinstate: tag M used with inconsistent arities\n"
+        )
+
     @pytest.mark.parametrize("command", ["check", "run", "explain"])
     def test_non_utf8_source_is_data_error(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.cob"
@@ -155,6 +185,33 @@ class TestRun:
             bad = tmp_path / "bad.cob"
             bad.write_text(src)
             assert main(["run", str(bad), "--no-typecheck"]) == 2, src
+
+    # A pattern binding more arguments than A carries leaves its variables,
+    # z too, undeclared: the reply to z.Get is outside z's protocol 1.
+    ARITY_MISMATCHED_PATTERN = """
+    type #G = Get(Reply(#Number))
+    new o : 1 + A(#Number) . C(#G) [
+        A(x, y) & C(z) |> let v = z.Get in System!Print(v)
+    ] in
+    new g : *#G [ Get(r) |> r!Reply(7) ] in
+    o!A(1) & o!C(g)
+    """
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_rejected_pattern_leaves_variables_undeclared(
+        self, tmp_path, capsys, seed
+    ):
+        bad = tmp_path / "bad.cob"
+        bad.write_text(self.ARITY_MISMATCHED_PATTERN)
+        assert main(["check", str(bad)]) == 1
+        assert "AritySumError" in capsys.readouterr().err
+        assert main(["run", str(bad), "--no-typecheck", "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "verdict: MonitorViolation (cont@3 holds messages [Reply] outside"
+            " its protocol 1) after 2 steps"
+        )
 
     @pytest.mark.parametrize(
         "rel", ["rejected/extra-message.cob", "rejected/missing-message.cob"]
@@ -321,7 +378,16 @@ class TestFuzz:
         monkeypatch.setenv("JOINSTATE_SEED", "9")
         assert summary() == at9
 
-    def test_check_solution_mode(self, capsys):
+    def test_check_solution_mode(self, capsys, monkeypatch):
+        # Each seed is one run that also tests the invariant.
+        inits = Counter()
+        init = Soup.__init__
+
+        def counted(soup, *args, **kwargs):
+            inits["soup"] += 1
+            init(soup, *args, **kwargs)
+
+        monkeypatch.setattr(Soup, "__init__", counted)
         code = main([
             "fuzz", path("accepted/future-user.cob"),
             "--seeds", "4", "--check-solution",
@@ -329,3 +395,24 @@ class TestFuzz:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["invariantFailures"] == 0
+        assert inits["soup"] == 4
+
+    # Two As against a one-A protocol break the invariant from the start,
+    # which the monitors report at once.
+    @pytest.mark.parametrize(
+        "monitors,verdicts,code",
+        [("on", {"MonitorViolation": 3}, 0), ("off", {"Terminated": 3}, 1)],
+        ids=["monitors-on", "monitors-off"],
+    )
+    def test_invariant_failures_are_counted(
+        self, tmp_path, capsys, monitors, verdicts, code
+    ):
+        bad = tmp_path / "twice.cob"
+        bad.write_text("new o : A [ A |> done ] in o!A & o!A")
+        assert main([
+            "fuzz", str(bad), "--expect-violation", "--check-solution",
+            "--seeds", "3", "--monitors", monitors,
+        ]) == code
+        data = json.loads(capsys.readouterr().out)
+        assert data["invariantFailures"] == 3
+        assert data["verdicts"] == verdicts

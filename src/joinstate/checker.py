@@ -630,9 +630,12 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
     return Checker(program, bound).run()
 
 
-def resolve_closure_types(program: CoreProgram) -> dict[Name, TypeExpr]:
+def resolve_closure_types(
+    program: CoreProgram,
+) -> tuple[dict[Name, TypeExpr], TypeAlgebra]:
     """Every object's, continuation's and rule variable's declared type, by
-    binder: the checker's own declarations, made without full checking and
+    binder, and the algebra that typed them, for the soup's monitors to
+    follow: the checker's own declarations, made without full checking and
     without writing into the program, so the runtime executes checked and
     unchecked programs alike.  A continuation's base is `closure_base` (1
     where the checker rejects it), with CLOSURE argument types approximated
@@ -666,4 +669,4 @@ def resolve_closure_types(program: CoreProgram) -> dict[Name, TypeExpr]:
             resolve(p.body)
 
     resolve(program.process)
-    return decls
+    return decls, checker.alg

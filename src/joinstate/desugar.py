@@ -66,57 +66,27 @@ REPLY_TAG = "Reply"
 Wrapper = Callable[[Process], Process]
 
 
-def ordered_free_names(p: Process) -> list[Name]:
-    """Free names of a core process in first-occurrence order."""
-    seen: list[Name] = []
-    bound: set[Name] = set()
-
-    def use(n: Name):
-        if n not in bound and n not in seen:
-            seen.append(n)
-
-    def expr(e: Expr):
-        if isinstance(e, Var):
-            use(e.name)
-        elif isinstance(e, BinOp):
-            expr(e.left)
-            expr(e.right)
-
-    def go(q: Process):
-        if isinstance(q, Send):
-            use(q.target)
-            for m in q.molecule:
-                for a in m.args:
-                    expr(a)
-        elif isinstance(q, Par):
-            for part in q.parts:
-                go(part)
-        elif isinstance(q, If):
-            expr(q.cond)
-            go(q.then)
-            go(q.els)
-        elif isinstance(q, NewObj):
-            bound.add(q.name)
-            if q.closure:
-                for n in q.closure.captured:
-                    use(n)
-            for rule in q.rules:
-                bound.update(x for m in rule.pattern for x in m.params)
-                go(rule.body)
-            go(q.body)
-
-    go(p)
-    return [n for n in seen if n not in bound and n not in BUILTIN_OBJECTS]
-
-
-def rename(p: Process, mapping: dict[Name, Name]) -> Process:
-    """Substitute free name occurrences.  Binders are globally unique, so no
-    capture is possible and the traversal is straightforward."""
-    if not mapping:
-        return p
+def capture(
+    p: Process, copy: Callable[[Name], Optional[Name]]
+) -> tuple[Process, dict[Name, Name]]:
+    """Rename each free name of a core process, in first-occurrence order,
+    to the copy `copy` makes of it, keeping a name it returns None for.
+    Returns the renamed process and the map from each renamed name to its
+    copy.  Binders are globally unique, so no capture is possible."""
+    kept: set[Name] = set(BUILTIN_OBJECTS)
+    copies: dict[Name, Name] = {}
 
     def name(n: Name) -> Name:
-        return mapping.get(n, n)
+        if n in kept:
+            return n
+        c = copies.get(n)
+        if c is None:
+            c = copy(n)
+            if c is None:
+                kept.add(n)
+                return n
+            copies[n] = c
+        return c
 
     def expr(e: Expr) -> Expr:
         if isinstance(e, Var):
@@ -129,30 +99,33 @@ def rename(p: Process, mapping: dict[Name, Name]) -> Process:
         if isinstance(q, Done):
             return q
         if isinstance(q, Send):
+            target = name(q.target)
             mol = tuple(
                 SendMsg(m.tag, tuple(expr(a) for a in m.args)) for m in q.molecule
             )
-            return Send(name(q.target), mol, q.pos)
+            return Send(target, mol, q.pos)
         if isinstance(q, Par):
             return Par(tuple(go(part) for part in q.parts))
         if isinstance(q, If):
             return If(expr(q.cond), go(q.then), go(q.els), q.pos)
         if isinstance(q, NewObj):
-            closure = q.closure
-            if closure:
-                closure = ClosureSpec(
-                    tuple(name(n) for n in closure.captured),
-                    name(closure.target),
-                    closure.tag,
-                    closure.index,
-                )
-            rules = [Rule(r.pattern, go(r.body)) for r in q.rules]
-            return NewObj(
-                q.name, q.decl, rules, go(q.body), q.stateless, closure, q.pos
-            )
+            kept.add(q.name)
+            spec = q.closure
+            if spec:
+                captured = tuple(name(n) for n in spec.captured)
+            rules = []
+            for r in q.rules:
+                kept.update(x for m in r.pattern for x in m.params)
+                rules.append(Rule(r.pattern, go(r.body)))
+            body = go(q.body)
+            if spec:
+                # The target is sent to in the body, so it is renamed already.
+                target = copies.get(spec.target, spec.target)
+                spec = ClosureSpec(captured, target, spec.tag, spec.index)
+            return NewObj(q.name, q.decl, rules, body, q.stateless, spec, q.pos)
         raise TypeError(f"not a process: {q!r}")
 
-    return go(p)
+    return go(p), copies
 
 
 class Desugarer:
@@ -198,18 +171,15 @@ class Desugarer:
         are renamed to fresh copies bound by a CLOSURE message; the returned
         wrapper sends that message alongside the process it installs ``obj``
         around."""
-        bound = {x for m in pattern for x in m.params}
-        captured = [
-            n
-            for n in ordered_free_names(body)
-            if n not in bound and n not in self.stateless
-        ]
+        bound = {x for m in pattern for x in m.params} | self.stateless
+        body, copies = capture(
+            body, lambda n: None if n in bound else self.fresh(n.text)
+        )
+        captured = tuple(copies)
         if captured:
-            copies = [self.fresh(n.text) for n in captured]
-            body = rename(body, dict(zip(captured, copies)))
-            pattern = (PatMsg(CLOSURE_TAG, tuple(copies)),) + pattern
+            pattern = (PatMsg(CLOSURE_TAG, tuple(copies.values())),) + pattern
         rule = Rule(pattern, body)
-        spec = ClosureSpec(tuple(captured), target, tag, index)
+        spec = ClosureSpec(captured, target, tag, index)
 
         def wrap(proc: Process) -> Process:
             if captured:
@@ -436,12 +406,14 @@ class Desugarer:
 
 
 def desugar(ast: sf.SurfaceAST, source_name: str = "<input>") -> CoreProgram:
-    table = ty.resolve_types(ast.type_decls)
-    # Checked on the names as read: a constructor may already have dropped
-    # a reference, as in `#Missing . 0`.
+    # Checked on the names as read, declarations included, so the error has
+    # a position; a constructor may already have dropped a reference, as in
+    # `#Missing . 0`.  The parser resolves builtin type names itself.
+    declared = {name for name, _ in ast.type_decls}
     for name, pos in ast.type_refs:
-        if name not in table:
+        if name not in declared:
             raise DesugarError(f"unknown type name {name}", pos)
+    table = ty.resolve_types(ast.type_decls)
     d = Desugarer()
     env: dict[str, Expr] = {"System": Var(SYSTEM), "Number": Var(NUMBER_OBJ)}
     return CoreProgram(table, d.process(ast.process, env), source_name)

@@ -47,7 +47,7 @@ from .core import (
     Send,
     Var,
 )
-from .types import TypeAlgebra, TypeExpr
+from .types import TypeExpr
 
 Value = object  # float | bool | ObjId
 
@@ -154,8 +154,7 @@ class Soup:
         monitors: bool = True,
         trace: bool = False,
     ):
-        self.decls = resolve_closure_types(program)
-        self.alg = TypeAlgebra(program.table)
+        self.decls, self.alg = resolve_closure_types(program)
         self.rng = random.Random(seed)
         self.monitors = monitors
         self.tracing = trace
@@ -174,6 +173,10 @@ class Soup:
         # (declared type, per-tag message counts) -> residual, for
         # consumption.  Types are interned, so equal protocols share entries.
         self._residuals: dict[tuple[TypeExpr, tuple], TypeExpr] = {}
+        # Objects created or touched since check_solution last ran, and
+        # those whose mailbox did not fit their protocol then.
+        self._unchecked: dict[Instance, None] = {}
+        self._misfits: set[Instance] = set()
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
@@ -197,6 +200,7 @@ class Soup:
             # The mailbox is empty, so nothing has been derived yet.
             inst.residual = inst.decl
         self.instances.append(inst)
+        self._unchecked[inst] = None
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:
             self.emit("new", repr(oid), "", ty.render(inst.decl))
@@ -261,6 +265,7 @@ class Soup:
                     f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
                     f"outside its protocol {ty.render(inst.decl)}"
                 )
+        self._unchecked.update(self._touched)
         self._touched.clear()
 
     def enabled_count(self) -> int:
@@ -381,8 +386,16 @@ class Soup:
 
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
-        re-typing invariant the scheduler is expected to preserve."""
-        return all(self.alg.usable(self.residual(inst)) for inst in self.instances)
+        re-typing invariant the scheduler is expected to preserve.  Only
+        objects created or touched since the last call are derived afresh
+        from their mailbox; the others keep their last answer."""
+        for inst in self._unchecked:
+            if self.alg.usable(self.residual(inst)):
+                self._misfits.discard(inst)
+            else:
+                self._misfits.add(inst)
+        self._unchecked.clear()
+        return not self._misfits
 
 
 def run(

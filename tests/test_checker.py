@@ -147,6 +147,37 @@ class TestProtocolViolations:
         report = check_source("new obj : A(#Number) [ A(x) |> done ] in obj!A")
         assert "AritySumError" in report.codes()
 
+    # Each input reaches a checker path that no other test runs.
+    @pytest.mark.parametrize(
+        "src,text",
+        [
+            ("System!Print(true + 1)",
+             "1:1: ProtocolViolation: operator '+' needs numeric operands"),
+            ("if 1 then done else done", "condition must be a boolean"),
+            ("new o : 1 + A(#Number) [ A(n) |> n!B ] in o!A(1)",
+             "send to n#2: #Number accepts no messages"),
+            ("new o : 1 + A(B) [ A(x) |> x!B ] in o!A(1)",
+             "A expects an object with protocol B"),
+            ("new p : 1 + B [ B |> done ] in"
+             " new o : 1 + A(0) [ A(x) |> done ] in o!A(p)",
+             "UnusableArg: send to o#2: argument type 0 of A has no valid"
+             " configuration"),
+            ("new o : 1 + Get [ Get |> done ] in let v = o.Get in"
+             " System!Print(v)",
+             "AritySumError: Get of 1 + Get has no continuation argument"),
+            ("new o : A(#Number) [ A(n) |> done ] in"
+             " o!A([ Reply(v) |> done ])",
+             "does not accept a continuation there (argument type #Number)"),
+        ],
+    )
+    def test_diagnostic_text(self, src, text):
+        diagnostics = [str(d) for d in check_source(src).diagnostics]
+        assert any(text in d for d in diagnostics), diagnostics
+
+    def test_boolean_condition_accepted(self):
+        report = check_source("if true then System!Print(1) else done")
+        assert report.verdict == "accepted", [str(d) for d in report.diagnostics]
+
     def test_rule_using_outer_object_rejected(self):
         report = check_source(
             "new a : A · B(1) [ A |> done | B(x) |> done ] in"

@@ -17,8 +17,8 @@ from joinstate.core import (
 from joinstate.desugar import (
     CLOSURE_TAG,
     DesugarError,
+    capture,
     load_program,
-    ordered_free_names,
 )
 
 FUTURE_CLASS = """
@@ -86,6 +86,7 @@ class TestBasics:
         [
             ("new a : #Missing . 0 [ A |> done ] in done", "1:9"),
             ("type #T = #Missing . 0\nnew a : #T [ A |> done ] in done", "1:11"),
+            ("type #A = M(#Missing)\nnew o : #A [ M(x) |> done ] in done", "1:13"),
         ],
     )
     def test_unknown_type_rejected_where_zero_absorbs_it(self, src, where):
@@ -234,7 +235,7 @@ class TestSyncCalls:
         prog = load_program(
             FUTURE_CLASS + "let f = Future.New in System!Print(f.Get)"
         )
-        assert ordered_free_names(prog.process) == []
+        assert capture(prog.process, lambda n: n)[1] == {}
 
 
 class TestAnonymousBlocks:
@@ -286,4 +287,4 @@ class TestOrderedFreeNames:
             "new a : A(B(C), B(C)) [ A(x, y) |> y!B(x) & x!B(y) ] in done"
         )
         body = prog.process.rules[0].body
-        assert [n.text for n in ordered_free_names(body)] == ["y", "x"]
+        assert [n.text for n in capture(body, lambda n: n)[1]] == ["y", "x"]

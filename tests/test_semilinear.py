@@ -163,6 +163,14 @@ class TestSubtype:
         v = self.engine.subtype(M, Star(M))
         assert v.kind == "no" and v.counterexample == ()
 
+    def test_recursive_question_is_assumed_to_hold(self):
+        # Comparing M's arguments asks #A <= #B again while it is open.
+        table = resolve_types(
+            [("#A", msg("M", Ref("#A"))), ("#B", msg("M", Ref("#B")))]
+        )
+        engine = SubtypeEngine(TypeAlgebra(table))
+        assert engine.subtype(Ref("#A"), Ref("#B")).kind == "yes"
+
     def test_bounded_argument_keeps_the_bound(self):
         # Criterion 8's sample #173: its star-unfold law holds only up to
         # the bound, and a message carrying both sides must say so too.

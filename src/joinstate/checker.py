@@ -12,9 +12,11 @@ Two properties are established together:
   for the object's rule patterns (some rule fires in every reachable
   configuration that still owes messages).
 
-The checker threads a usage environment (name -> type) bottom-up and a
-dependency relation alongside it, reporting problems as diagnostics rather
-than exceptions so one run surfaces as many issues as possible.
+Each scope (the program, a rule body, a branch of an `if`) fills one usage
+environment (name -> type) in place: every send multiplies its uses into it.
+Each process returns its dependency relation.  Problems are reported as
+diagnostics rather than exceptions so one run surfaces as many issues as
+possible.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ class Report:
 Env = dict[Name, TypeExpr]
 
 
+def use(env: Env, name: Name, t: TypeExpr):
+    """Record a use of name at t in env, after its earlier uses."""
+    env[name] = ty.Prod((env[name], t)) if name in env else t
+
+
 def closure_decl(base: TypeExpr, captured: tuple[TypeExpr, ...]) -> TypeExpr:
     """A continuation's protocol: nothing, or its base protocol together
     with one CLOSURE message carrying the captured names, if any."""
@@ -157,7 +164,6 @@ class Checker:
         self.report = Report()
         self.decls: dict[Name, TypeExpr] = dict(BUILTIN_DECLS)
         self.stateless: set[Name] = set(BUILTIN_OBJECTS)
-        self.top_deps = EMPTY_DEPS
 
     # --- reporting helpers -------------------------------------------------
 
@@ -191,36 +197,14 @@ class Checker:
             )
         return True
 
-    # --- environments ------------------------------------------------------
-
-    @staticmethod
-    def combine(env1: Env, env2: Env) -> Env:
-        out = dict(env1)
-        for name, t in env2.items():
-            if name in out:
-                out[name] = ty.Prod((out[name], t))
-            else:
-                out[name] = t
-        return out
-
-    @staticmethod
-    def branch_combine(env1: Env, env2: Env) -> Env:
-        # Names in first-seen order, so diagnostics that walk the result
-        # come out alike under every hash seed.
-        return {
-            name: ty.Sum((env1.get(name, ty.ONE), env2.get(name, ty.ONE)))
-            for name in env1 | env2
-        }
-
     def join_deps(
-        self, d1: DependencyRelation, d2: DependencyRelation, pos: Pos
+        self, d1: DependencyRelation, d2: DependencyRelation
     ) -> DependencyRelation:
         d = join(d1, d2)
         if isinstance(d, Incompatible):
             self.diag(
                 "IncompatibleDeps",
                 f"objects {d.u} and {d.v} may wait on each other",
-                pos,
             )
             return merge(d1, d2)
         return d
@@ -292,18 +276,17 @@ class Checker:
             )
         return None
 
-    def check_send(self, p: Send) -> tuple[Env, DependencyRelation]:
+    def check_send(self, p: Send, env: Env) -> DependencyRelation:
         target = p.target
         decl = self.decls.get(target)
         if decl is None:
             self.diag("ProtocolViolation", f"unknown object {target}", p.pos)
-            return {}, EMPTY_DEPS
+            return EMPTY_DEPS
         tags = Counter(m.tag for m in p.molecule)
         slots = self.resolve_slots(decl, tags, f"send to {target}", p.pos)
         if slots is None:
-            return {}, EMPTY_DEPS
+            return EMPTY_DEPS
 
-        env: Env = {}
         obj_args: list[Name] = []
         usage_parts: list[TypeExpr] = []
         ok = True
@@ -350,13 +333,13 @@ class Checker:
                     )
                     ok = False
                     continue
-                env = self.combine(env, {arg.name: expected})
+                use(env, arg.name, expected)
                 obj_args.append(arg.name)
         if not ok:
-            return env, EMPTY_DEPS
+            return EMPTY_DEPS
 
         if target not in self.stateless:
-            env = self.combine(env, {target: ty.Prod(usage_parts)})
+            use(env, target, ty.Prod(usage_parts))
 
         # Dependency bookkeeping: sending makes the target wait on the
         # argument objects, and ties the arguments to one another.
@@ -366,7 +349,7 @@ class Checker:
                 f"object {target} is sent to itself",
                 p.pos,
             )
-            return env, EMPTY_DEPS
+            return EMPTY_DEPS
         dep_names = [n for n in obj_args if n not in self.stateless]
         if len(set(dep_names)) != len(dep_names):
             dupe = next(n for n in dep_names if dep_names.count(n) > 1)
@@ -375,43 +358,49 @@ class Checker:
                 f"object {dupe} appears twice in one send to {target}",
                 p.pos,
             )
-            return env, EMPTY_DEPS
+            return EMPTY_DEPS
         if target not in self.stateless:
             dep_names.append(target)
-        return env, clique(dep_names)
+        return clique(dep_names)
 
     # --- processes ----------------------------------------------------------
 
-    def check_process(self, p: Process) -> tuple[Env, DependencyRelation]:
+    def check_process(self, p: Process, env: Env) -> DependencyRelation:
+        """Record p's uses of names in env, the usage environment of the
+        enclosing scope, and return p's dependency relation."""
         if isinstance(p, Done):
-            return {}, EMPTY_DEPS
+            return EMPTY_DEPS
         if isinstance(p, Send):
-            return self.check_send(p)
+            return self.check_send(p, env)
         if isinstance(p, Par):
-            env: Env = {}
             deps = EMPTY_DEPS
             for q in p.parts:
-                e, d = self.check_process(q)
-                env = self.combine(env, e)
-                deps = self.join_deps(deps, d, None)
-            return env, deps
+                deps = self.join_deps(deps, self.check_process(q, env))
+            return deps
         if isinstance(p, If):
             if self.expr_kind(p.cond, p.pos) != "bool":
                 self.diag(
                     "ProtocolViolation", "condition must be a boolean", p.pos
                 )
-            env1, d1 = self.check_process(p.then)
-            env2, d2 = self.check_process(p.els)
+            env1: Env = {}
+            env2: Env = {}
+            d1 = self.check_process(p.then, env1)
+            d2 = self.check_process(p.els, env2)
+            # Names in first-seen order, so diagnostics that walk env come
+            # out alike under every hash seed.
+            for name in env1 | env2:
+                both = (env1.get(name, ty.ONE), env2.get(name, ty.ONE))
+                use(env, name, ty.Sum(both))
             # The branches are mutually exclusive, so their dependency
             # relations are overlaid rather than conjoined.
-            return self.branch_combine(env1, env2), merge(d1, d2)
+            return merge(d1, d2)
         if isinstance(p, NewObj):
-            return self.check_new(p)
+            return self.check_new(p, env)
         raise TypeError(f"not a process: {p!r}")
 
     # --- objects ------------------------------------------------------------
 
-    def check_new(self, p: NewObj) -> tuple[Env, DependencyRelation]:
+    def check_new(self, p: NewObj, env: Env) -> DependencyRelation:
         if p.closure is not None:
             decl = self.check_closure_object(p)
         else:
@@ -437,10 +426,10 @@ class Checker:
             ObjectInfo(p.name, decl, patterns, is_live, p.stateless)
         )
 
-        env, deps = self.check_process(p.body)
+        deps = self.check_process(p.body, env)
         self.check_obligation(p.name, decl, env, p.pos)
         env.pop(p.name, None)
-        return env, deps.restrict(p.name)
+        return deps.restrict(p.name)
 
     def check_obligation(self, name: Name, decl: TypeExpr, env: Env, pos: Pos):
         usage = env.get(name, ty.ONE)
@@ -496,7 +485,8 @@ class Checker:
         params = self.bind_pattern(t0, rule.pattern, what, pos)
         if params is None:
             return
-        env, _deps = self.check_process(rule.body)
+        env: Env = {}
+        self.check_process(rule.body, env)
         self.close_rule(obj, t0, rule, params, env, what, f"rule {pretty}", pos)
 
     def close_rule(
@@ -598,7 +588,8 @@ class Checker:
 
         # Check the body once; how it uses each captured name is exactly the
         # CLOSURE argument type the object demands.
-        env, _deps = self.check_process(rule.body)
+        env: Env = {}
+        self.check_process(rule.body, env)
         # Captured names' CLOSURE argument types are their synthesized usages;
         # value-typed captures keep their base type (values have no usage).
         captured_usage = []
@@ -617,12 +608,7 @@ class Checker:
     # --- entry ---------------------------------------------------------------
 
     def run(self) -> Report:
-        env, self.top_deps = self.check_process(self.program.process)
-        for name in env:
-            if name not in BUILTIN_DECLS:
-                self.diag(
-                    "ProtocolViolation", f"unbound name {name}", None
-                )
+        self.check_process(self.program.process, {})
         return self.report
 
 

@@ -94,15 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the event trace to PATH as JSON")
 
     p_explain = sub.add_parser(
-        "explain", help="show types, patterns, liveness, and dependencies"
+        "explain", help="show types, patterns and liveness"
     )
     p_explain.add_argument("input", type=pathlib.Path, nargs="?")
     p_explain.add_argument("--type", dest="type_expr", metavar="EXPR",
                            help="explain a standalone type expression")
     p_explain.add_argument("--parikh", action="store_true",
                            help="print semilinear representations")
-    p_explain.add_argument("--deps", action="store_true",
-                           help="print top-level dependency blocks")
     common(p_explain)
 
     p_fuzz = sub.add_parser("fuzz", help="run many seeds and summarize")
@@ -267,11 +265,6 @@ def cmd_explain(args) -> int:
         out["types"][name] = entry
     for obj in report.objects:
         out["objects"].append(obj.to_json())
-    if args.deps:
-        out["dependencyBlocks"] = [
-            sorted(str(n) for n in block)
-            for block in sorted(checker.top_deps.blocks, key=lambda b: sorted(map(str, b)))
-        ]
     if args.json:
         out["diagnostics"] = [d.to_json() for d in report.diagnostics]
         print(json.dumps(out, indent=2))
@@ -289,8 +282,6 @@ def cmd_explain(args) -> int:
             )
             print(f"  pattern: {joined or 'done'}")
         print(f"  live: {'yes' if obj['live'] else 'no'}")
-    for block in out.get("dependencyBlocks", ()):
-        print(f"deps: {{{', '.join(block)}}}")
     return 0 if report.verdict == "accepted" else 1
 
 

@@ -345,12 +345,11 @@ class SubtypeEngine:
             for i in range(n)
             if comp.base[i] or any(p[i] for p in comp.periods)
         ]
-        candidates: list[list[int]] = []
-        for i in used:
-            cands = [j for j in range(n) if self._args_ok(alphabet[i], alphabet[j])]
-            if not cands:
-                return False
-            candidates.append(cands)
+        # Never empty: a slot's arguments always fit the slot itself.
+        candidates = [
+            [j for j in range(n) if self._args_ok(alphabet[i], alphabet[j])]
+            for i in used
+        ]
         if not used:
             # Only the zero vector; nullability was already checked.
             return True

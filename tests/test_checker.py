@@ -123,6 +123,40 @@ class TestCorpus:
         assert isinstance(data["boundedSubtypeUses"], list)
 
 
+class TestCompositionality:
+    # Each object is checked against its declaration alone, so swapping one
+    # object's rules for others accepted against the same declaration moves
+    # nothing else in the report.  The swapped rules bind the same names in
+    # the same order, so every binder keeps its uid.
+    @pytest.mark.parametrize(
+        "rel,rules,swapped",
+        [
+            ("accepted/future-user.cob", "Reply(n) |> System!Print(n)",
+             "Reply(n) |> if n > 0 then System!Print(n)"
+             " else System!Print(0 - n)"),
+            ("rejected/future-user-deadlock.cob",
+             "future!RESOLVED(n) & r!Reply(n)", "r!Reply(n) & future!RESOLVED(n)"),
+            ("rejected/mutual-dependency.cob", "B(x) |> x!A",
+             "B(x) |> if true then x!A else x!A"),
+            ("rejected/double-dependency.cob", "D(y) |> x!B(y)",
+             "D(y) |> if 1 < 2 then x!B(y) else x!B(y)"),
+            ("rejected/nested-call-deadlock.cob",
+             "user!Reply(n) & this!RESOLVED(n)", "this!RESOLVED(n) & user!Reply(n)"),
+        ],
+    )
+    def test_swapping_one_objects_rules_changes_nothing_else(
+        self, rel, rules, swapped
+    ):
+        source = (PROGRAMS / rel).read_text()
+        assert source.count(rules) == 1
+        before = check_source(source)
+        after = check_source(source.replace(rules, swapped))
+        assert after.to_json() == before.to_json()
+        assert [str(d) for d in after.diagnostics] == [
+            str(d) for d in before.diagnostics
+        ]
+
+
 class TestProtocolViolations:
     def test_unused_relevant_object_is_an_unmet_obligation(self):
         report = check_source("new obj : A [ A |> obj!A ] in done")

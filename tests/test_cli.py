@@ -231,6 +231,7 @@ class TestRun:
                 " in System!Print(obj < 1)",
                 False,
             ),
+            ("new o : 1 + A(#Number) [ A(n) |> n!B ] in o!A(1)", False),
         ],
     )
     def test_runtime_fault_exit_code(self, tmp_path, capsys, src, typecheck):
@@ -287,18 +288,57 @@ class TestRun:
 
 class TestExplain:
     def test_program_listing(self, capsys):
-        code = main(["explain", path("accepted/future-user.cob"), "--deps"])
+        code = main(["explain", path("accepted/future-user.cob")])
         assert code == 0
         out = capsys.readouterr().out
         assert "type #FutureT" in out
         assert "live: yes" in out
         assert "pattern:" in out
 
+    def test_program_parikh_json(self, capsys):
+        code = main(["explain", path("accepted/future-user.cob"), "--parikh",
+                     "--json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["types"]["#FutureT"]["parikh"] == [
+            "RESOLVED(#Number) + N·(Get(Reply(#Number)))",
+            "EMPTY + Resolve(#Number) + N·(Get(Reply(#Number)))",
+        ]
+
+    def test_rejected_program_json(self, capsys):
+        code = main(["explain", path("rejected/mutual-dependency.cob"), "--json"])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "rejected"
+        assert data["diagnostics"] == [{
+            "code": "IncompatibleDeps",
+            "message": "objects obj1#1 and obj2#3 may wait on each other",
+        }]
+
+    def test_deps_flag_is_gone(self, capsys):
+        assert_usage_error(
+            ["explain", path("accepted/future-user.cob"), "--deps"],
+            capsys, "unrecognized arguments: --deps",
+        )
+
     def test_parikh_lines(self, capsys):
         main(["explain", "--type", "*(A . B)", "--parikh"])
         out = capsys.readouterr().out
         assert "normal form:" in out
         assert "N·(" in out
+
+    def test_parikh_period_with_a_count_above_one(self, capsys):
+        assert main(["explain", "--type", "*(A . A)", "--parikh"]) == 0
+        assert "parikh: ⟨⟩ + N·(2·A)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [("A +", "1:4: expected a type, found ''"),
+         ("#Foo", "unknown type name #Foo")],
+    )
+    def test_bad_standalone_type_is_a_data_error(self, capsys, expr, message):
+        assert main(["explain", "--type", expr]) == 65
+        assert capsys.readouterr().err == f"joinstate: {message}\n"
 
     def test_standalone_type_facts(self, capsys):
         main(["explain", "--type", "1 + A", "--json"])

@@ -131,6 +131,13 @@ class TestBasics:
                 "o!M([ R(v, v: #Number) |> done ])",
                 "1:58: pattern variable 'v' repeated",
             ),
+            # A let that binds a value, or binds two results of no call.
+            ("let x = 1 in x!A", "1:14: 'x' does not name an object here"),
+            (
+                "let a, b = 1 in done",
+                "1:1: multiple results require a synchronous call on the "
+                "right-hand side",
+            ),
         ],
     )
     def test_pattern_variable_errors(self, src, message):

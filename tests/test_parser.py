@@ -309,6 +309,8 @@ class TestErrors:
                 (1, 35),
             ),
             (parse_program, "if x then done", "expected else, found ''", (1, 15)),
+            (parse_program, "new : 1 in done", "expected a name, found ':'", (1, 5)),
+            (parse_program, "| done", "expected a process, found '|'", (1, 1)),
         ],
     )
     def test_list_and_keyword_errors(self, parse, src, message, pos):

@@ -503,8 +503,14 @@ def parse_program(source: str) -> SurfaceAST:
 
 
 def parse_type(source: str) -> TypeExpr:
-    """Parse a standalone type expression (used by the explain command)."""
+    """Parse a standalone type expression (used by the explain command).
+
+    It declares no type names, so the first `#Name` other than a builtin
+    is a ParseError at its position."""
     p = _Parser(tokenize(source))
     t = p.type_expr()
     p.expect("eof", "end of type")
+    if p.type_refs:
+        name, pos = p.type_refs[0]
+        raise ParseError(f"unknown type name {name}", pos)
     return t

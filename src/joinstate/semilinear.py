@@ -19,11 +19,18 @@ that has it (`_Box`).  A vector matches when it, or another split of its tag
 counts over the slots of a tag, is in the bitset and its messages can be
 transported onto that split along argument subtyping (`_Matcher`).  The
 table takes one bit per point of the box; criterion 8's largest has 10,368.
+
+Sums, products and stars prune components as they build them (`_prune`):
+a component goes when another contains it by a cheap test, its periods
+among the other's and its base the other's plus a sum of the other's
+periods.  The sums reachable from one period set are memoized for one
+`_prune` call, so many component pairs share one walk of that cone.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -101,16 +108,59 @@ def member(v: Vector, components: Iterable[LinearSet]) -> bool:
     return any(_linear_member(v, c.base, sorted(c.periods)) for c in components)
 
 
-def _subsumed(a: LinearSet, b: LinearSet) -> bool:
-    return a.periods <= b.periods and _linear_member(a.base, b.base, sorted(b.periods))
+def _in_cone(d: Vector, periods: Sequence[Vector], memo: dict[Vector, bool]) -> bool:
+    """Whether d is a sum of the given periods (nonzero, nonnegative).
+    Depth first, one period off at a time, on an explicit stack; memo holds
+    the answers known for these periods, zero's included."""
+    hit = memo.get(d)
+    if hit is not None:
+        return hit
+    stack = [(d, iter(periods))]
+    while stack:
+        v, rest = stack[-1]
+        for p in rest:
+            w = tuple(map(operator.sub, v, p))
+            if min(w) < 0:
+                continue
+            hit = memo.get(w)
+            if hit is None:
+                stack.append((w, iter(periods)))
+                break
+            if hit:
+                # Every residual on the stack reaches w, so zero.
+                for u, _ in stack:
+                    memo[u] = True
+                return True
+        else:
+            memo[v] = False
+            stack.pop()
+    return False
 
 
 def _prune(components: Iterable[LinearSet]) -> list[LinearSet]:
+    """The components, in order, less each one another contains (of equal
+    ones, the first stays).
+    (a, P) contains (b, Q) here when Q <= P and b - a is a sum of P's
+    periods: enough for inclusion, not needed for it."""
+    cones: dict[frozenset[Vector], tuple[list[Vector], dict[Vector, bool]]] = {}
+
+    def contains(big: LinearSet, small: LinearSet) -> bool:
+        if not small.periods <= big.periods:
+            return False
+        deficit = tuple(map(operator.sub, small.base, big.base))
+        if min(deficit, default=0) < 0:
+            return False
+        cone = cones.get(big.periods)
+        if cone is None:
+            periods = [p for p in big.periods if any(p)]
+            cone = cones[big.periods] = (periods, {_zero(len(deficit)): True})
+        return _in_cone(deficit, *cone)
+
     out: list[LinearSet] = []
     for c in components:
-        if any(_subsumed(c, d) for d in out):
+        if any(contains(d, c) for d in out):
             continue
-        out = [d for d in out if not _subsumed(d, c)]
+        out = [d for d in out if not contains(c, d)]
         out.append(c)
     return out
 
@@ -159,7 +209,8 @@ def _parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet
                 return []
         return acc
     if kind == "Star":
-        body = _prune(parikh(alg, t.body, alphabet))  # type: ignore[attr-defined]
+        # Already pruned: no component of an image contains another.
+        body = parikh(alg, t.body, alphabet)  # type: ignore[attr-defined]
         out = [LinearSet(_zero(n), frozenset())]
         for subset in itertools.chain.from_iterable(
             itertools.combinations(body, r) for r in range(1, len(body) + 1)

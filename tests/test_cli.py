@@ -334,7 +334,9 @@ class TestExplain:
     @pytest.mark.parametrize(
         "expr,message",
         [("A +", "1:4: expected a type, found ''"),
-         ("#Foo", "unknown type name #Foo")],
+         ("#Foo", "1:1: unknown type name #Foo"),
+         ("A . #Foo", "1:5: unknown type name #Foo"),
+         ("#Number . *#Bar", "1:12: unknown type name #Bar")],
     )
     def test_bad_standalone_type_is_a_data_error(self, capsys, expr, message):
         assert main(["explain", "--type", expr]) == 65

@@ -168,7 +168,10 @@ class TestTypes:
 
     def test_units_and_refs(self):
         assert parse_type("0") == ty.ZERO
-        assert parse_type("1 + #Worker") == ty.Sum((ty.ONE, ty.Ref("#Worker")))
+        assert parse_type("1 + #Number") == ty.Sum((ty.ONE, ty.NUMBER))
+        # A standalone type declares no names, so any other one is unknown.
+        with pytest.raises(ParseError, match="^1:5: unknown type name #Worker$"):
+            parse_type("1 + #Worker")
 
     def test_star_binds_tighter_than_product(self):
         assert parse_type("*A · B") == ty.Prod((ty.Star(ty.Msg("A")), ty.Msg("B")))

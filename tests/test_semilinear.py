@@ -15,7 +15,9 @@ from joinstate.semilinear import (
     SubtypeEngine,
     _bounded_coeffs,
     _Box,
+    _linear_member,
     _Matcher,
+    _prune,
     _transport_exists,
     arg_determinate,
     joint_alphabet,
@@ -204,6 +206,54 @@ def candidates(comps, bound):
             for p, k in zip(periods, coeffs):
                 v = tuple(a + k * b for a, b in zip(v, p))
             yield v
+
+
+def reference_prune(components):
+    """Pruning as it was first written: each containment test a fresh
+    `_linear_member` search."""
+
+    def subsumed(a, b):
+        return a.periods <= b.periods and _linear_member(
+            a.base, b.base, sorted(b.periods)
+        )
+
+    out = []
+    for c in components:
+        if any(subsumed(c, d) for d in out):
+            continue
+        out = [d for d in out if not subsumed(d, c)]
+        out.append(c)
+    return out
+
+
+class TestPrune:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_agrees_with_member_search(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        pool = [random_linear_set(rng, n) for _ in range(rng.randint(1, 5))]
+        for c in list(pool):
+            # Variants of c: its base moved along its periods, under some
+            # of them and the zero period; and its base under other periods.
+            base = c.base
+            for p in c.periods:
+                base = tuple(a + rng.randint(0, 3) * b for a, b in zip(base, p))
+            kept = frozenset(p for p in c.periods if rng.random() < 0.5)
+            pool.append(LinearSet(base, kept | {(0,) * n}))
+            pool.append(LinearSet(c.base, random_linear_set(rng, n).periods))
+        comps = [rng.choice(pool) for _ in range(rng.randint(0, 16))]
+        pruned = _prune(comps)
+        assert pruned == reference_prune(comps), comps
+        # What is left contains no other, so pruning it again changes nothing.
+        assert _prune(pruned) == pruned
+
+    def test_deep_deficit(self):
+        unit = frozenset({(1,)})
+        near = LinearSet((0,), unit)
+        assert _prune([LinearSet((3000,), unit), near]) == [near]
+        even = frozenset({(2,)})
+        odd = [LinearSet((2999,), even), LinearSet((0,), even)]
+        assert _prune(odd) == odd
 
 
 class TestMembershipTable:

@@ -5,6 +5,8 @@ The oracle answers subtyping and liveness questions by brute force over
 explicitly enumerated configurations, so it shares no code path with the
 Parikh-image machinery.  It is exact up to the enumeration size and the
 argument-recursion depth, which is what the property tests need.
+`member` decides membership in a union of linear sets by a plain search
+over period multiples, the reference for the engine's tables and cones.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import types as ty
+from .semilinear import LinearSet, Vector
 from .types import Config, Msg, TypeAlgebra, TypeExpr
 
 
@@ -66,6 +69,38 @@ def oracle_subtype(
         if not any(config_le(alg, cs, ct, depth) for ct in candidates):
             return False
     return True
+
+
+def _linear_member(v: Vector, base: Vector, periods: Sequence[Vector]) -> bool:
+    """Whether v is base plus a sum of the periods, by trying every
+    multiple of each period in turn."""
+    deficit = tuple(a - b for a, b in zip(v, base))
+    if any(d < 0 for d in deficit):
+        return False
+    if not any(deficit):
+        return True
+
+    def search(d: Vector, ps: Sequence[Vector]) -> bool:
+        if not any(d):
+            return True
+        if not ps:
+            return False
+        p, rest = ps[0], ps[1:]
+        k = 0
+        cur = d
+        while all(c >= 0 for c in cur):
+            if search(cur, rest):
+                return True
+            k += 1
+            cur = tuple(c - e for c, e in zip(d, tuple(k * x for x in p)))
+        return False
+
+    return search(deficit, [p for p in periods if any(p)])
+
+
+def member(v: Vector, components: Iterable[LinearSet]) -> bool:
+    """Whether v lies in some component, each one a fresh search."""
+    return any(_linear_member(v, c.base, sorted(c.periods)) for c in components)
 
 
 def oracle_live(

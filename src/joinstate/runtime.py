@@ -293,9 +293,8 @@ class Soup:
                 r, j = divmod(r, len(msgs))
                 selection.append((next(islice(msgs, j, None)), 1))
             else:
-                r, j = divmod(r, _count_picks(msgs.values(), k))
-                picks = _multiset_picks(list(msgs.items()), k)
-                selection.extend(next(islice(picks, j, None)))
+                r, picks = _unrank_picks(list(msgs.items()), k, r)
+                selection.extend(picks)
         return inst, rule_idx, selection
 
     def step(self) -> bool:
@@ -519,29 +518,48 @@ def _compile_expr(e: Expr) -> Callable[[Env], Value]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _multiset_picks(groups, k):
-    """Ways to take k items from payload groups with the given capacities."""
-    if k == 0:
-        yield ()
-        return
-    if not groups:
-        return
-    (msg, cap), rest = groups[0], groups[1:]
-    for take in range(min(k, cap), -1, -1):
-        for tail in _multiset_picks(rest, k - take):
-            yield ((msg, take),) + tail if take else tail
-
-
-def _count_picks(caps, k):
-    """How many ways _multiset_picks has to take k items from payload
-    groups with the given capacities."""
+def _pick_counts(caps, k):
+    """Row g holds, for each m <= k, the number of ways to take m items
+    from the first g payload groups with the given capacities."""
     ways = [1] + [0] * k
+    rows = [ways]
     for cap in caps:
         ways = [
             sum(ways[j - take] for take in range(min(cap, j) + 1))
             for j in range(k + 1)
         ]
-    return ways[k]
+        rows.append(ways)
+    return rows
+
+
+def _count_picks(caps, k):
+    """How many ways there are to take k items from payload groups with
+    the given capacities."""
+    return _pick_counts(caps, k)[-1][k]
+
+
+def _unrank_picks(groups, k, r):
+    """Split r into (r // w, pick), where w = _count_picks over groups'
+    capacities and pick is way number r % w to take k items from the
+    (payload, capacity) groups, as (payload, taken) pairs for the groups
+    it takes from.  Ways are ordered by the first group's take, largest
+    first, then by the ways of the rest, ordered alike."""
+    # after[g][m]: the ways to take m items from groups g, g + 1, ...
+    after = _pick_counts([cap for _, cap in reversed(groups)], k)[::-1]
+    r, j = divmod(r, after[0][k])
+    pick = []
+    for g, (msg, cap) in enumerate(groups):
+        if not k:
+            break
+        for take in range(min(k, cap), -1, -1):
+            ways = after[g + 1][k - take]
+            if j < ways:
+                break
+            j -= ways
+        if take:
+            pick.append((msg, take))
+            k -= take
+    return r, pick
 
 
 class _Fenwick:

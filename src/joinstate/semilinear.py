@@ -6,25 +6,34 @@ combination of period vectors).  On that representation subtyping, liveness
 and argument determinacy become vector problems.
 
 Subtyping is exact whenever it answers No or proves inclusion through the
-syntactic fast path; otherwise it checks every vector of the supertype with
-at most `bound` periods added.  That is exhaustive for a component without
+fast path; otherwise it checks every vector of the supertype with at most
+`bound` periods added.  That is exhaustive for a component without
 periods; when some checked component has periods, or an argument check
 answered YesBounded, the answer is YesBounded, which callers may treat as
 success with a recorded caveat.
 
-Each of those checks is a table lookup.  One `_subtype` call builds a bitset
-of the subtype's Parikh image over the box of counts the checked vectors can
-reach: one cone of period sums per distinct period set, shifted by each base
-that has it (`_Box`).  A vector matches when it, or another split of its tag
-counts over the slots of a tag, is in the bitset and its messages can be
-transported onto that split along argument subtyping (`_Matcher`).  The
-table takes one bit per point of the box; criterion 8's largest has 10,368.
+The fast path embeds a whole supertype component (b, P) into one subtype
+component through a slot map that sends each slot to one whose arguments
+fit: the identity first, then each other map, applied once to b and P.  A
+target (a, Q) takes the image when the mapped periods are among Q and the
+mapped base minus a is a sum of Q's periods (`_lies_in`).  Each slot's
+candidate slots are found once per `_subtype` call; the sums reachable from
+each period set are memoized on the engine and live as long as it.
+
+Each of the bounded checks is a table lookup.  One `_subtype` call builds
+a bitset of the subtype's Parikh image over the box of counts the checked
+vectors can reach: one cone of period sums per distinct period set, shifted
+by each base that has it (`_Box`).  A vector matches when it, or another
+split of its tag counts over the slots of a tag, is in the bitset and its
+messages can be transported onto that split along argument subtyping
+(`_Matcher`).  The table takes one bit per point of the box; criterion 8's
+largest has 10,368.
 
 Sums, products and stars prune components as they build them (`_prune`):
-a component goes when another contains it by a cheap test, its periods
-among the other's and its base the other's plus a sum of the other's
-periods.  The sums reachable from one period set are memoized for one
-`_prune` call, so many component pairs share one walk of that cone.
+a component goes when another contains it by the same test.  There the
+sums are memoized for one `_prune` call, so many component pairs share one
+walk of a cone.  A star whose body has no periods takes its image in one
+step: zero base, the body's bases as periods.
 """
 
 from __future__ import annotations
@@ -79,35 +88,6 @@ def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
     return alphabet
 
 
-def _linear_member(v: Vector, base: Vector, periods: Sequence[Vector]) -> bool:
-    deficit = tuple(a - b for a, b in zip(v, base))
-    if any(d < 0 for d in deficit):
-        return False
-    if not any(deficit):
-        return True
-
-    def search(d: Vector, ps: Sequence[Vector]) -> bool:
-        if not any(d):
-            return True
-        if not ps:
-            return False
-        p, rest = ps[0], ps[1:]
-        k = 0
-        cur = d
-        while all(c >= 0 for c in cur):
-            if search(cur, rest):
-                return True
-            k += 1
-            cur = tuple(c - e for c, e in zip(d, tuple(k * x for x in p)))
-        return False
-
-    return search(deficit, [p for p in periods if any(p)])
-
-
-def member(v: Vector, components: Iterable[LinearSet]) -> bool:
-    return any(_linear_member(v, c.base, sorted(c.periods)) for c in components)
-
-
 def _in_cone(d: Vector, periods: Sequence[Vector], memo: dict[Vector, bool]) -> bool:
     """Whether d is a sum of the given periods (nonzero, nonnegative).
     Depth first, one period off at a time, on an explicit stack; memo holds
@@ -137,30 +117,36 @@ def _in_cone(d: Vector, periods: Sequence[Vector], memo: dict[Vector, bool]) -> 
     return False
 
 
+def _lies_in(
+    base: Vector, periods: frozenset[Vector], big: LinearSet, cones: dict
+) -> bool:
+    """Whether big = (a, P) contains (base, periods) by the cheap test:
+    periods <= P and base - a a sum of P's periods.  Enough for inclusion,
+    not needed for it.  cones memoizes `_in_cone` per (dimension, P); the
+    dimension is in the key because the empty set is one frozenset in every
+    dimension."""
+    if not periods <= big.periods:
+        return False
+    deficit = tuple(map(operator.sub, base, big.base))
+    if min(deficit, default=0) < 0:
+        return False
+    key = (len(deficit), big.periods)
+    cone = cones.get(key)
+    if cone is None:
+        nonzero = [p for p in big.periods if any(p)]
+        cone = cones[key] = (nonzero, {_zero(len(deficit)): True})
+    return _in_cone(deficit, *cone)
+
+
 def _prune(components: Iterable[LinearSet]) -> list[LinearSet]:
-    """The components, in order, less each one another contains (of equal
-    ones, the first stays).
-    (a, P) contains (b, Q) here when Q <= P and b - a is a sum of P's
-    periods: enough for inclusion, not needed for it."""
-    cones: dict[frozenset[Vector], tuple[list[Vector], dict[Vector, bool]]] = {}
-
-    def contains(big: LinearSet, small: LinearSet) -> bool:
-        if not small.periods <= big.periods:
-            return False
-        deficit = tuple(map(operator.sub, small.base, big.base))
-        if min(deficit, default=0) < 0:
-            return False
-        cone = cones.get(big.periods)
-        if cone is None:
-            periods = [p for p in big.periods if any(p)]
-            cone = cones[big.periods] = (periods, {_zero(len(deficit)): True})
-        return _in_cone(deficit, *cone)
-
+    """The components, in order, less each one another contains by
+    `_lies_in` (of equal ones, the first stays)."""
+    cones: dict = {}
     out: list[LinearSet] = []
     for c in components:
-        if any(contains(d, c) for d in out):
+        if any(_lies_in(c.base, c.periods, d, cones) for d in out):
             continue
-        out = [d for d in out if not contains(c, d)]
+        out = [d for d in out if not _lies_in(d.base, d.periods, c, cones)]
         out.append(c)
     return out
 
@@ -209,30 +195,39 @@ def _parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet
                 return []
         return acc
     if kind == "Star":
-        # Already pruned: no component of an image contains another.
-        body = parikh(alg, t.body, alphabet)  # type: ignore[attr-defined]
-        out = [LinearSet(_zero(n), frozenset())]
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(body, r) for r in range(1, len(body) + 1)
-        ):
-            if all(not comp.periods for comp in subset):
-                # Pure bases: any number of copies of each, including zero,
-                # so the whole subset collapses to periods over origin.
-                periods = {comp.base for comp in subset if any(comp.base)}
-                out.append(LinearSet(_zero(n), frozenset(periods)))
-                continue
-            base = _zero(n)
-            periods = set()
-            for comp in subset:
-                base = _add(base, comp.base)
-                periods |= comp.periods
-                if any(comp.base):
-                    periods.add(comp.base)
-            out.append(LinearSet(base, frozenset(periods)))
-        return _prune(out)
+        return _star(parikh(alg, t.body, alphabet), n)  # type: ignore[attr-defined]
     if kind == "Ref":
         return parikh(alg, alg.unfold(t), alphabet)
     raise TypeError(f"not a type expression: {t!r}")
+
+
+def _star(body: list[LinearSet], n: int) -> list[LinearSet]:
+    """The Parikh image of a star, from its body's (pruned: no component
+    contains another) over n slots."""
+    if all(not comp.periods for comp in body):
+        # Any number of copies of each base, including zero: one component,
+        # which holds every other subset's.
+        bases = frozenset(comp.base for comp in body if any(comp.base))
+        return [LinearSet(_zero(n), bases)]
+    out = [LinearSet(_zero(n), frozenset())]
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(body, r) for r in range(1, len(body) + 1)
+    ):
+        if all(not comp.periods for comp in subset):
+            # Pure bases: any number of copies of each, including zero,
+            # so the whole subset collapses to periods over origin.
+            periods = {comp.base for comp in subset if any(comp.base)}
+            out.append(LinearSet(_zero(n), frozenset(periods)))
+            continue
+        base = _zero(n)
+        periods = set()
+        for comp in subset:
+            base = _add(base, comp.base)
+            periods |= comp.periods
+            if any(comp.base):
+                periods.add(comp.base)
+        out.append(LinearSet(base, frozenset(periods)))
+    return _prune(out)
 
 
 # --- subtyping -------------------------------------------------------------
@@ -301,8 +296,9 @@ def _transport_exists(
 class SubtypeEngine:
     """Decides `t <= s` with coinductive memoization and a bounded fallback.
 
-    One engine instance owns its verdict cache; share an instance to amortize
-    it.  Parikh images are memoized on the algebra.
+    One engine instance owns its verdict cache and the fast path's cone
+    memo; share an instance to amortize them.  Parikh images are memoized
+    on the algebra.
     """
 
     def __init__(self, alg: TypeAlgebra, bound: int = 4):
@@ -313,6 +309,7 @@ class SubtypeEngine:
         # Set when an argument check of the current `_subtype` call answered
         # yes-bounded, so that the call cannot answer an exact yes.
         self._args_bounded = False
+        self._cones: dict = {}  # `_lies_in`'s memo for the fast path
 
     def subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         key = (t, s)
@@ -371,11 +368,14 @@ class SubtypeEngine:
         t_comps = parikh(alg, t, alphabet)
         s_comps = parikh(alg, s, alphabet)
         matcher: _Matcher | None = None
+        # Each slot's candidate list, filled on first use and shared by the
+        # supertype components.
+        candidates: list[list[int] | None] = [None] * len(alphabet)
         # A component without periods is one vector, which the matcher
         # checks exhaustively; only periods leave vectors past the bound.
         bounded = False
         for comp in s_comps:
-            if self._fast_include(comp, t_comps, alphabet):
+            if self._fast_include(comp, t_comps, alphabet, candidates):
                 continue
             if matcher is None:
                 matcher = _Matcher(self, t_comps, s_comps, alphabet)
@@ -386,46 +386,55 @@ class SubtypeEngine:
         return Verdict("yes-bounded", bound=self.bound) if bounded else YES
 
     def _fast_include(
-        self, comp: LinearSet, t_comps: list[LinearSet], alphabet: Alphabet
+        self,
+        comp: LinearSet,
+        t_comps: list[LinearSet],
+        alphabet: Alphabet,
+        candidates: list[list[int] | None],
     ) -> bool:
         """Try to embed a whole supertype component into one subtype component
-        through a single slot-to-slot map."""
+        through a single slot-to-slot map.  candidates[i] lists the slots
+        whose arguments fit slot i's; the call fills the missing ones it
+        needs."""
         n = len(alphabet)
-        used = [
-            i
-            for i in range(n)
-            if comp.base[i] or any(p[i] for p in comp.periods)
-        ]
-        # Never empty: a slot's arguments always fit the slot itself.
-        candidates = [
-            [j for j in range(n) if self._args_ok(alphabet[i], alphabet[j])]
-            for i in used
-        ]
+        used = [i for i, col in enumerate(zip(comp.base, *comp.periods)) if any(col)]
         if not used:
             # Only the zero vector; nullability was already checked.
             return True
-
-        def remap(v: Vector, sigma: tuple[int, ...]) -> Vector:
-            out = [0] * n
-            for i, j in zip(used, sigma):
-                out[j] += v[i]
-            return tuple(out)
-
+        lists = []
+        for i in used:
+            c = candidates[i]
+            if c is None:
+                # Never empty: a slot's arguments always fit the slot itself.
+                c = candidates[i] = [
+                    j for j in range(n) if self._args_ok(alphabet[i], alphabet[j])
+                ]
+            lists.append(c)
         total = 1
-        for c in candidates:
+        for c in lists:
             total *= len(c)
             if total > 256:
                 return False
-        for sigma in itertools.product(*candidates):
-            for target in t_comps:
-                if not all(
-                    remap(p, sigma) in target.periods for p in comp.periods if any(p)
-                ):
-                    continue
-                if _linear_member(
-                    remap(comp.base, sigma), target.base, sorted(target.periods)
-                ):
-                    return True
+
+        def embeds(base: Vector, periods: frozenset[Vector]) -> bool:
+            return any(_lies_in(base, periods, c, self._cones) for c in t_comps)
+
+        periods = [p for p in comp.periods if any(p)]
+        # The identity first, without remapping: most often the only map.
+        if embeds(comp.base, frozenset(periods)):
+            return True
+        identity = tuple(used)
+        for sigma in itertools.product(*lists):
+            if sigma == identity:
+                continue
+            mapped = []
+            for v in [comp.base, *periods]:
+                out = [0] * n
+                for i, j in zip(used, sigma):
+                    out[j] += v[i]
+                mapped.append(tuple(out))
+            if embeds(mapped[0], frozenset(mapped[1:])):
+                return True
         return False
 
     def _bounded_include(

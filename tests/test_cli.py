@@ -161,6 +161,23 @@ class TestRun:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["42"]
 
+    def test_rule_taking_two_of_a_thousand_payloads(self, tmp_path, capsys):
+        # A(x) & A(y) draws from 1,500 distinct A payloads at the end.
+        src = tmp_path / "many-payloads.cob"
+        src.write_text(
+            "type #Sink = *A(#Number) . *GO and #Gen = *G(#Number, #Sink)\n"
+            "new o : #Sink [ A(x) & A(y) & GO |> System!Print(x + y) ] in\n"
+            "new gen : #Gen [ G(n, s) |> if n = 0 then s!GO"
+            " else s!A(n) & gen!G(n - 1, s) ] in\n"
+            "gen!G(1500, o)\n"
+        )
+        for seed, total in (("0", "1736"), ("1", "482")):
+            code = main(["run", str(src), "--seed", seed])
+            out, err = capsys.readouterr()
+            assert code == 0
+            assert out.splitlines() == [total]
+            assert err.splitlines() == ["verdict: Terminated after 1502 steps"]
+
     def test_rejected_program_refused(self, capsys):
         assert main(["run", path("rejected/self-dependency.cob")]) == 1
 

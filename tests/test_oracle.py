@@ -9,6 +9,7 @@ import pytest
 from joinstate import types as ty
 from joinstate.oracle import (
     config_le,
+    member,
     oracle_live,
     oracle_subtype,
     random_patterns,
@@ -19,7 +20,6 @@ from joinstate.semilinear import (
     SubtypeEngine,
     joint_alphabet,
     live,
-    member,
     parikh,
 )
 from joinstate.types import TypeAlgebra, normalize

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,7 @@ from joinstate.cli import main
 from joinstate.desugar import load_program
 from joinstate.oracle import enabled_reactions
 from joinstate.parser import MAX_NESTING, ParseError
-from joinstate.runtime import Soup, run
+from joinstate.runtime import Soup, _count_picks, _unrank_picks, run
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -133,6 +134,32 @@ class TestUniformity:
         program = load_program(self.SOURCES[index])
         for seed in range(4):
             self.check_along_run(program, seed)
+
+    @staticmethod
+    def reference_picks(groups, k):
+        """Every way to take k items from (payload, capacity) groups, in
+        the order the scheduler's indices follow."""
+        if k == 0:
+            yield ()
+            return
+        if not groups:
+            return
+        (msg, cap), rest = groups[0], groups[1:]
+        for take in range(min(k, cap), -1, -1):
+            for tail in TestUniformity.reference_picks(rest, k - take):
+                yield ((msg, take),) + tail if take else tail
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unranking_follows_the_enumeration(self, seed):
+        rng = random.Random(seed)
+        groups = [(i, rng.randint(1, 4)) for i in range(rng.randint(1, 6))]
+        k = rng.randint(1, 6)
+        ways = list(self.reference_picks(groups, k))
+        assert _count_picks([cap for _, cap in groups], k) == len(ways)
+        for r in range(2 * len(ways)):
+            q, pick = _unrank_picks(groups, k, r)
+            assert q == r // len(ways)
+            assert tuple(pick) == ways[r % len(ways)]
 
     def test_indices_match_enabled_reactions_in_pi(self):
         src = (PROGRAMS / "accepted" / "pi.cob").read_text()

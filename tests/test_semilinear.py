@@ -3,11 +3,12 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
 from joinstate import types as ty
-from joinstate.oracle import oracle_subtype, random_type
+from joinstate.oracle import _linear_member, member, oracle_subtype, random_type
 from joinstate.semilinear import (
     AMBIGUOUS,
     DEAD,
@@ -15,14 +16,13 @@ from joinstate.semilinear import (
     SubtypeEngine,
     _bounded_coeffs,
     _Box,
-    _linear_member,
     _Matcher,
     _prune,
+    _star,
     _transport_exists,
     arg_determinate,
     joint_alphabet,
     live,
-    member,
     parikh,
 )
 from joinstate.types import (
@@ -317,6 +317,181 @@ class TestMembershipTable:
         assert not oracle_subtype(alg, Prod((wide, wide)), narrow, size=6)
         assert _transport_exists([2], [1, 1], [[True, True]])
         assert not _transport_exists([1, 1], [2], [[False], [True]])
+
+
+def reference_fast_include(engine, comp, t_comps, alphabet):
+    """The fast path as first written: candidate lists afresh on every call,
+    every map's vectors remapped per target, and a fresh `_linear_member`
+    search per (map, target)."""
+    n = len(alphabet)
+    used = [
+        i
+        for i in range(n)
+        if comp.base[i] or any(p[i] for p in comp.periods)
+    ]
+    candidates = [
+        [j for j in range(n) if engine._args_ok(alphabet[i], alphabet[j])]
+        for i in used
+    ]
+    if not used:
+        return True
+
+    def remap(v, sigma):
+        out = [0] * n
+        for i, j in zip(used, sigma):
+            out[j] += v[i]
+        return tuple(out)
+
+    total = 1
+    for c in candidates:
+        total *= len(c)
+        if total > 256:
+            return False
+    for sigma in itertools.product(*candidates):
+        for target in t_comps:
+            if not all(
+                remap(p, sigma) in target.periods for p in comp.periods if any(p)
+            ):
+                continue
+            if _linear_member(
+                remap(comp.base, sigma), target.base, sorted(target.periods)
+            ):
+                return True
+    return False
+
+
+# X <= Y holds only up to the bound, so matching M(X) against M(Y) sets the
+# engine's yes-bounded flag.
+X = Sum((Star(Prod((A, A))), Prod((A, Star(Prod((A, A)))))))
+Y = Star(A)
+FAST_ALPHABETS = (
+    (msg("M", A), msg("M", B), msg("M", Sum((A, B))), C),
+    (msg("M", X), msg("M", Y), msg("M", A), A, msg("K", A), msg("K", Y)),
+)
+
+
+def random_embedding(rng, comp, alphabet):
+    """A component that comp may embed in: comp moved along a random
+    tag-preserving slot map, its base moved down along some period or up a
+    little, and periods dropped or added at random."""
+    n = len(alphabet)
+    sigma = [
+        rng.choice([j for j in range(n) if alphabet[j].tag == alphabet[i].tag])
+        for i in range(n)
+    ]
+
+    def remap(v):
+        out = [0] * n
+        for i, j in enumerate(sigma):
+            out[j] += v[i]
+        return tuple(out)
+
+    base = remap(comp.base)
+    periods = {remap(p) for p in comp.periods if rng.random() < 0.9}
+    for p in list(periods):
+        k = rng.randint(0, 2)
+        if all(b >= k * x for b, x in zip(base, p)):
+            base = tuple(b - k * x for b, x in zip(base, p))
+    if rng.random() < 0.3:
+        i = rng.randrange(n)
+        base = base[:i] + (max(0, base[i] + rng.choice((-1, 1))),) + base[i + 1:]
+    periods |= random_linear_set(rng, n).periods if rng.random() < 0.3 else set()
+    return LinearSet(base, frozenset(periods))
+
+
+class TestFastInclude:
+    """The fast path against its first version, on alphabets whose tags
+    have several slots, so that maps other than the identity are tried."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_agrees_with_reference(self, seed):
+        rng = random.Random(seed)
+        alphabet = rng.choice(FAST_ALPHABETS)
+        n = len(alphabet)
+        reference = SubtypeEngine(TypeAlgebra())
+        engine = SubtypeEngine(TypeAlgebra())
+        # One list per `_subtype` call, shared by its components.
+        shared = [None] * n
+        for _ in range(6):
+            comp = random_linear_set(rng, n)
+            t_comps = [
+                random_embedding(rng, comp, alphabet)
+                if rng.random() < 0.7
+                else random_linear_set(rng, n)
+                for _ in range(rng.randint(1, 3))
+            ]
+            expect = reference_fast_include(reference, comp, t_comps, alphabet)
+            got = engine._fast_include(comp, t_comps, alphabet, shared)
+            assert got == expect, (alphabet, comp, t_comps)
+            assert engine._args_bounded == reference._args_bounded
+
+    def test_cone_memo_keeps_dimensions_apart(self):
+        # Empty period sets are one frozenset in every dimension; the
+        # engine keeps one cone memo across alphabets, so a memo keyed by
+        # period set alone would take two slots' zero for three slots'.
+        engine = SubtypeEngine(TypeAlgebra())
+        rng = random.Random(7)
+        for alphabet in [(A, B), (A, B, C), (A, B), (A, B, C)]:
+            n = len(alphabet)
+            here = LinearSet((1,) + (0,) * (n - 1), frozenset())
+            assert engine._fast_include(here, [here], alphabet, [None] * n)
+            for _ in range(40):
+                comp, *t_comps = [
+                    LinearSet(tuple(rng.randint(0, 2) for _ in range(n)), frozenset())
+                    for _ in range(rng.randint(2, 4))
+                ]
+                expect = reference_fast_include(
+                    SubtypeEngine(TypeAlgebra()), comp, t_comps, alphabet
+                )
+                got = engine._fast_include(comp, t_comps, alphabet, [None] * n)
+                assert got == expect, (comp, t_comps)
+
+
+def reference_star(body, n):
+    """A star's image as first written: one component per subset of the
+    body's components, then pruned."""
+    out = [LinearSet((0,) * n, frozenset())]
+    for r in range(1, len(body) + 1):
+        for subset in itertools.combinations(body, r):
+            if all(not comp.periods for comp in subset):
+                periods = {comp.base for comp in subset if any(comp.base)}
+                out.append(LinearSet((0,) * n, frozenset(periods)))
+                continue
+            base = (0,) * n
+            periods = set()
+            for comp in subset:
+                base = tuple(a + b for a, b in zip(base, comp.base))
+                periods |= comp.periods
+                if any(comp.base):
+                    periods.add(comp.base)
+            out.append(LinearSet(base, frozenset(periods)))
+    return _prune(out)
+
+
+class TestStar:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_period_free_body_agrees_with_enumeration(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            body = _prune(
+                LinearSet(tuple(rng.randint(0, 2) for _ in range(n)), frozenset())
+                for _ in range(rng.randint(0, 7))
+            )
+            assert _star(body, n) == reference_star(body, n), body
+
+    def test_sixteen_alternatives(self):
+        alg = TypeAlgebra()
+        tags = [msg(f"T{i}") for i in range(16)]
+        t = Star(Sum(tuple(tags)))
+        alphabet = joint_alphabet(alg, t)
+        start = time.perf_counter()
+        comps = parikh(alg, t, alphabet)
+        assert time.perf_counter() - start < 1.0
+        units = frozenset(
+            tuple(int(j == i) for j in range(16)) for i in range(16)
+        )
+        assert comps == [LinearSet((0,) * 16, units)]
 
 
 def law_battery(alg, engine, t, s, u):

@@ -7,6 +7,8 @@ Parikh-image machinery.  It is exact up to the enumeration size and the
 argument-recursion depth, which is what the property tests need.
 `member` decides membership in a union of linear sets by a plain search
 over period multiples, the reference for the engine's tables and cones.
+`reaction` decodes a soup's reaction index by scanning objects and rules,
+the reference for the runtime's one-pass `Soup.fire`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from . import types as ty
+from .runtime import _unrank_picks
 from .semilinear import LinearSet, Vector
 from .types import Config, Msg, TypeAlgebra, TypeExpr
 
@@ -198,3 +201,32 @@ def enabled_reactions(soup) -> list[tuple]:
             }
             out.extend((inst.oid, rule_idx, sel) for sel in selections)
     return out
+
+
+def reaction(soup, index: int) -> tuple:
+    """The reaction that index names among a runtime soup's enabled ones,
+    0 <= index < soup.enabled_count(), decoded the slow way: a scan of the
+    objects in serial order, then of the object's rules, then the rule's
+    selection in mixed radix, one digit per tag it takes, in tag order.
+    Returns the object, the rule index, and the selection as (message,
+    copies) pairs, for checking `Soup.fire`, which decodes in one pass."""
+    r = index
+    for inst in soup.instances:
+        total = sum(inst.weights)
+        if r < total:
+            break
+        r -= total
+    for rule_idx, w in enumerate(inst.weights):
+        if r < w:
+            break
+        r -= w
+    selection = []
+    for tag, k, _ in inst.rules[rule_idx][0]:
+        msgs = inst.mailbox[tag]
+        if k == 1:
+            r, j = divmod(r, len(msgs))
+            selection.append((list(msgs)[j], 1))
+        else:
+            r, picks = _unrank_picks(list(msgs.items()), k, r)
+            selection.extend(picks)
+    return inst, rule_idx, selection

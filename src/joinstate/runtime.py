@@ -7,17 +7,28 @@ so runs are reproducible from the seed alone.  A reaction is an (object,
 rule, selection) triple, where equal payloads count once.  Rather than list
 the triples, the soup keeps how many selections each rule of each object
 has and draws an index by weight (Gillespie's direct method, with a Fenwick
-tree over objects), then decodes the index into a selection.
+tree over objects).  `step` draws the index; `fire` descends the tree to
+the object, picks the rule by its weight, then walks the rule's tags once,
+in sorted order: each tag's digit of the index (a mixed radix) names the
+message, which is taken out of the mailbox and bound to the parameters
+that `_compile` aligned with that order.  A rule taking one tag k >= 2
+times keeps, per object and tag, the ways to take m <= k messages as a
+polynomial truncated after x^k, so a delivery or a consumption updates
+the count in O(k) instead of recounting every payload.
 
 Optional monitors track every object's declared type derived by the tags
-sitting in its mailbox; if that residual becomes unusable the program has
-broken its protocol and the run stops.  When no reaction is enabled
-the run has quiesced.  It is a deadlock if some leftover message still
-carries an argument the type marks as relevant, as somebody is waiting
-forever.  Otherwise, with monitors on, every residual must be nullable:
-a mailbox holding only part of a configuration of its protocol means a
-message was sent too many or too few times.  Arithmetic faults and sends
-to methods the builtin objects lack end the run as a RuntimeFault.
+sitting in its mailbox.  A delivery derives the residual by one more tag.
+A consumption that empties the mailbox returns it to the declared type;
+otherwise the residual is cached by the declared type and the per-tag
+message counts that `deliver` and `fire` keep.  If the residual becomes
+unusable the program has broken its protocol and the run stops.  When no
+reaction is enabled the run has quiesced.  It is a deadlock if some
+leftover message still carries an argument the type marks as relevant, as
+somebody is waiting forever.  Otherwise, with monitors on, every residual
+must be nullable: a mailbox holding only part of a configuration of its
+protocol means a message was sent too many or too few times.  Arithmetic
+faults and sends to methods the builtin objects lack end the run as a
+RuntimeFault.
 """
 
 from __future__ import annotations
@@ -75,29 +86,34 @@ Env = dict[int, Value]
 ProcCode = Callable[["Soup", Env], None]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instance:
     oid: ObjId
     node: NewObj
     env: Env
-    # Per rule: the (tag, copies) pairs it needs, sorted by tag; each
-    # pattern message's tag and parameter uids; and its compiled body.
-    rules: list[tuple[list[tuple[str, int]], list, ProcCode]]
+    # Per rule: the (tag, copies, parameter uids) it takes, sorted by tag;
+    # its compiled body; and its pattern's tags, for the trace.  With k >= 2
+    # copies of a tag, the parameters are k uid lists in reverse pattern
+    # order, so they zip with the messages in the order they are taken.
+    rules: list[tuple[list[tuple[str, int, list]], ProcCode, str]]
     decl: TypeExpr
+    # Per rule, the number of distinct selections the mailbox allows.
+    weights: list[int]
+    # For each tag some rule takes k >= 2 copies of: the number of ways to
+    # take m messages of that tag, for m up to the largest such k.  None
+    # when no rule takes a tag twice.
+    picks: Optional[dict[str, list[int]]]
     # tag -> distinct message -> multiplicity; tags with no messages absent.
     mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
-    # Per rule, the number of distinct selections the mailbox allows.
-    weights: list[int] = field(default_factory=list)
+    # tag -> number of messages, copies counted; kept beside the mailbox.
+    counts: dict[str, int] = field(default_factory=dict)
     # The declared type derived by every tag in the mailbox (tracked only
     # when monitors are on).
     residual: Optional[TypeExpr] = None
 
     def tags(self) -> list[str]:
         """The mailbox's tags, one per message, sorted."""
-        return sorted(
-            tag for tag, msgs in self.mailbox.items()
-            for _ in range(sum(msgs.values()))
-        )
+        return [tag for tag in sorted(self.counts) for _ in range(self.counts[tag])]
 
 
 @dataclass(frozen=True)
@@ -172,10 +188,11 @@ class Soup:
         self._touched: dict[Instance, None] = {}
         # (declared type, per-tag message counts) -> residual, for
         # consumption.  Types are interned, so equal protocols share entries.
-        self._residuals: dict[tuple[TypeExpr, tuple], TypeExpr] = {}
-        # Objects created or touched since check_solution last ran, and
-        # those whose mailbox did not fit their protocol then.
-        self._unchecked: dict[Instance, None] = {}
+        self._residuals: dict[tuple[TypeExpr, frozenset], TypeExpr] = {}
+        # Objects created or touched since check_solution last ran (None
+        # until its first call), and those whose mailbox did not fit their
+        # protocol then.
+        self._unchecked: Optional[dict[Instance, None]] = None
         self._misfits: set[Instance] = set()
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
@@ -190,17 +207,26 @@ class Soup:
 
     # --- heating ------------------------------------------------------------
 
-    def spawn(self, node: NewObj, rules: list, env: Env) -> Env:
-        """Create an object for node with its compiled rules; returns env
-        extended with it, the object's own env and its body's too."""
+    def spawn(
+        self, node: NewObj, rules: list, multi: tuple[tuple[str, int], ...],
+        env: Env,
+    ) -> Env:
+        """Create an object for node with its compiled rules, where multi
+        pairs each tag a rule takes k >= 2 copies of with its largest k;
+        returns env extended with it, the object's own env and its body's
+        too."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
         env = {**env, node.name.uid: oid}
-        inst = Instance(oid, node, env, rules, self.decls[node.name])
+        inst = Instance(
+            oid, node, env, rules, self.decls[node.name], [0] * len(rules),
+            {tag: [1] + [0] * k for tag, k in multi} if multi else None,
+        )
         if self.monitors:
             # The mailbox is empty, so nothing has been derived yet.
             inst.residual = inst.decl
         self.instances.append(inst)
-        self._unchecked[inst] = None
+        if self._unchecked is not None:
+            self._unchecked[inst] = None
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:
             self.emit("new", repr(oid), "", ty.render(inst.decl))
@@ -221,19 +247,26 @@ class Soup:
         if not isinstance(target, ObjId) or target.serial < 1:
             raise RuntimeError_(f"message {msg[0]} sent to non-object {target!r}")
         inst = self.instances[target.serial - 1]
-        msgs = inst.mailbox.setdefault(msg[0], {})
-        msgs[msg] = msgs.get(msg, 0) + 1
+        tag = msg[0]
+        msgs = inst.mailbox.get(tag)
+        if msgs is None:
+            inst.mailbox[tag] = {msg: 1}
+            inst.counts[tag] = copies = 1
+        else:
+            copies = msgs.get(msg, 0) + 1
+            msgs[msg] = copies
+            inst.counts[tag] += 1
+        if inst.picks and tag in inst.picks:
+            _regroup(inst.picks[tag], copies - 1, copies)
         if self.monitors:
-            inst.residual = self.alg.derivative(inst.residual, msg[0])
+            inst.residual = self.alg.derivative(inst.residual, tag)
         self._touched[inst] = None
 
     # --- monitors -----------------------------------------------------------
 
     def residual(self, inst: Instance) -> TypeExpr:
         """The declared type derived afresh by the mailbox's tags."""
-        key = (inst.decl, tuple(
-            (tag, sum(msgs.values())) for tag, msgs in sorted(inst.mailbox.items())
-        ))
+        key = (inst.decl, frozenset(inst.counts.items()))
         out = self._residuals.get(key)
         if out is None:
             out = self.alg.derivative_config(inst.decl, inst.tags())
@@ -245,99 +278,128 @@ class Soup:
     def settle(self):
         """Re-weigh the objects whose mailbox changed and run monitors."""
         for inst in self._touched:
-            weights = []
-            for need, _, _ in inst.rules:
+            mailbox, picks, weights = inst.mailbox, inst.picks, inst.weights
+            delta = 0
+            for i, (takes, _, _) in enumerate(inst.rules):
                 w = 1
-                for tag, k in need:
-                    msgs = inst.mailbox.get(tag)
+                for tag, k, _ in takes:
+                    msgs = mailbox.get(tag)
                     if not msgs:
                         w = 0
                         break
-                    w *= len(msgs) if k == 1 else _count_picks(msgs.values(), k)
-                weights.append(w)
-            delta = sum(weights) - sum(inst.weights)
+                    w *= len(msgs) if k == 1 else picks[tag][k]
+                if w != weights[i]:
+                    delta += w - weights[i]
+                    weights[i] = w
             if delta:
                 self._enabled.add(inst.oid.serial, delta)
-            inst.weights = weights
             if (self.monitors and self.violation is None
                     and not self.alg.usable(inst.residual)):
                 self.violation = (
                     f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
                     f"outside its protocol {ty.render(inst.decl)}"
                 )
-        self._unchecked.update(self._touched)
+        if self._unchecked is not None:
+            self._unchecked.update(self._touched)
         self._touched.clear()
 
     def enabled_count(self) -> int:
         """The number of enabled (object, rule, selection) triples."""
         return self._enabled.total
 
-    def reaction(
-        self, index: int
-    ) -> tuple[Instance, int, list[tuple[Message, int]]]:
-        """The enabled reaction with the given index, 0 <= index <
-        enabled_count(): an object, a rule index, and a selection of
-        (message, copies) pairs.  Each index decodes to a distinct triple."""
-        serial, r = self._enabled.find(index)
-        inst = self.instances[serial - 1]
-        for rule_idx, w in enumerate(inst.weights):
+    def fire(self, index: int):
+        """Fire the enabled reaction with the given index, 0 <= index <
+        enabled_count(), and settle the soup.  Indices run over objects by
+        serial, then over each object's rules in order, then over a rule's
+        selections in mixed radix, one digit per tag it takes, in tag
+        order; each index names a distinct (object, rule, selection) triple.
+        One walk of the rule decodes each digit, takes the messages out of
+        the mailbox and binds the rule's parameters to them."""
+        # Descend the Fenwick tree to the object whose weight covers index.
+        tree = self._enabled.tree
+        pos, bit, r = 0, len(tree) - 1, index
+        while bit:
+            nxt = pos + bit
+            if tree[nxt] <= r:
+                pos = nxt
+                r -= tree[nxt]
+            bit >>= 1
+        inst = self.instances[pos]
+        rule_idx = 0
+        for w in inst.weights:
             if r < w:
                 break
             r -= w
-        # r now indexes the rule's selections in mixed radix, one digit per
-        # needed tag.
-        selection: list[tuple[Message, int]] = []
-        for tag, k in inst.rules[rule_idx][0]:
-            msgs = inst.mailbox[tag]
-            if k == 1:
-                r, j = divmod(r, len(msgs))
-                selection.append((next(islice(msgs, j, None)), 1))
-            else:
-                r, picks = _unrank_picks(list(msgs.items()), k, r)
-                selection.extend(picks)
-        return inst, rule_idx, selection
-
-    def step(self) -> bool:
-        """Fire one enabled reaction; False when the soup has quiesced."""
-        if not self._enabled.total:
-            return False
-        inst, rule_idx, selection = self.reaction(
-            self.rng.randrange(self._enabled.total)
-        )
+            rule_idx += 1
+        takes, body, label = inst.rules[rule_idx]
         self.steps += 1
 
-        # The consumed messages by tag, in selection order.
-        by_tag: dict[str, list[Message]] = {}
-        for msg, count in selection:
-            msgs = inst.mailbox[msg[0]]
-            left = msgs[msg] - count
-            if left:
-                msgs[msg] = left
+        mailbox, counts, picks = inst.mailbox, inst.counts, inst.picks
+        tracing = self.tracing
+        env = dict(inst.env)
+        consumed: list[Message] = []
+        for tag, k, params in takes:
+            msgs = mailbox[tag]
+            if k == 1:
+                if len(msgs) > 1:
+                    r, j = divmod(r, len(msgs))
+                    msg, copies = next(islice(msgs.items(), j, None))
+                else:
+                    msg, copies = next(iter(msgs.items()))
+                env.update(zip(params, msg[1]))
+                if tracing:
+                    consumed.append(msg)
+                if picks and tag in picks:
+                    _regroup(picks[tag], copies, copies - 1)
+                if copies > 1:
+                    msgs[msg] = copies - 1
+                elif len(msgs) > 1:
+                    del msgs[msg]
+                else:
+                    del mailbox[tag], counts[tag]
+                    continue
+                counts[tag] -= 1
             else:
-                del msgs[msg]
-                if not msgs:
-                    del inst.mailbox[msg[0]]
-            by_tag.setdefault(msg[0], []).extend([msg] * count)
+                r, taken = _unrank_picks(list(msgs.items()), k, r)
+                group: list[Message] = []
+                for msg, n in taken:
+                    copies = msgs[msg]
+                    if copies > n:
+                        msgs[msg] = copies - n
+                    else:
+                        del msgs[msg]
+                    _regroup(picks[tag], copies, copies - n)
+                    group += [msg] * n
+                for uids, msg in zip(params, group):
+                    env.update(zip(uids, msg[1]))
+                consumed += group
+                if msgs:
+                    counts[tag] -= k
+                else:
+                    del mailbox[tag], counts[tag]
         if self.monitors:
-            inst.residual = self.residual(inst)
+            # An emptied mailbox is back at the declared type.
+            inst.residual = self.residual(inst) if counts else inst.decl
         self._touched[inst] = None
 
-        _, binders, body = inst.rules[rule_idx]
-        if self.tracing:
+        if tracing:
             self.emit(
                 "react",
                 repr(inst.oid),
-                ",".join(tag for tag, _ in binders),
+                label,
                 " ".join(
-                    f"{t}({', '.join(_fmt(v) for v in vs)})"
-                    for msgs in by_tag.values() for t, vs in msgs
+                    f"{t}({', '.join(_fmt(v) for v in vs)})" for t, vs in consumed
                 ),
             )
-        env = dict(inst.env)
-        for tag, params in binders:
-            env.update(zip(params, by_tag[tag].pop()[1]))
         body(self, env)
         self.settle()
+
+    def step(self) -> bool:
+        """Fire one reaction drawn uniformly from the enabled ones; False
+        when the soup has quiesced."""
+        if not self._enabled.total:
+            return False
+        self.fire(self.rng.randrange(self._enabled.total))
         return True
 
     # --- end states ---------------------------------------------------------
@@ -387,7 +449,10 @@ class Soup:
         """Whether every object's mailbox still fits its protocol: the
         re-typing invariant the scheduler is expected to preserve.  Only
         objects created or touched since the last call are derived afresh
-        from their mailbox; the others keep their last answer."""
+        from their mailbox; the others keep their last answer.  Changes
+        are tracked only from the first call, which derives every object."""
+        if self._unchecked is None:
+            self._unchecked = dict.fromkeys(self.instances)
         for inst in self._unchecked:
             if self.alg.usable(self.residual(inst)):
                 self._misfits.discard(inst)
@@ -478,13 +543,25 @@ def _compile(p: Process) -> ProcCode:
         return par
     if isinstance(p, NewObj):
         rules = []
+        multi: dict[str, int] = {}
         for r in p.rules:
-            tags = [m.tag for m in r.pattern]
-            needs = sorted({tag: tags.count(tag) for tag in tags}.items())
-            binders = [(m.tag, [n.uid for n in m.params]) for m in r.pattern]
-            rules.append((needs, binders, _compile(r.body)))
+            params: dict[str, list[list[int]]] = {}
+            for m in r.pattern:
+                params.setdefault(m.tag, []).append([n.uid for n in m.params])
+            takes = []
+            for tag, uids in sorted(params.items()):
+                k = len(uids)
+                if k == 1:
+                    takes.append((tag, 1, uids[0]))
+                else:
+                    # The first pattern message binds the last copy taken.
+                    takes.append((tag, k, uids[::-1]))
+                    multi[tag] = max(k, multi.get(tag, 0))
+            label = ",".join(m.tag for m in r.pattern)
+            rules.append((takes, _compile(r.body), label))
+        multi_items = tuple(multi.items())
         body = _compile(p.body)
-        return lambda soup, env: body(soup, soup.spawn(p, rules, env))
+        return lambda soup, env: body(soup, soup.spawn(p, rules, multi_items, env))
     if isinstance(p, If):
         cond, then, els = _compile_expr(p.cond), _compile(p.then), _compile(p.els)
         return lambda soup, env: (then if cond(env) else els)(soup, env)
@@ -538,6 +615,22 @@ def _count_picks(caps, k):
     return _pick_counts(caps, k)[-1][k]
 
 
+def _regroup(ways, old, new):
+    """Change one payload group's capacity from old to new in ways, where
+    ways[m] counts the ways to take m items from all groups (m <= k).  ways
+    holds the product of each group's 1 + x + ... + x^cap truncated after
+    x^k.  As 1 + x + ... + x^cap is (1 - x^(cap+1)) / (1 - x), the group's
+    factor is swapped in place, in exact integers and O(k): divide by
+    1 - x^(old+1), then multiply by 1 - x^(new+1)."""
+    k = len(ways) - 1
+    step = old + 1
+    for j in range(step, k + 1):
+        ways[j] += ways[j - step]
+    step = new + 1
+    for j in range(k, step - 1, -1):
+        ways[j] -= ways[j - step]
+
+
 def _unrank_picks(groups, k, r):
     """Split r into (r // w, pick), where w = _count_picks over groups'
     capacities and pick is way number r % w to take k items from the
@@ -564,8 +657,8 @@ def _unrank_picks(groups, k, r):
 
 class _Fenwick:
     """Nonnegative integer weights indexed from 1, all zero at first, with
-    O(log n) update and weighted draw (Fenwick 1994).  The capacity is a
-    power of two and doubles on demand."""
+    O(log n) update (Fenwick 1994); Soup.fire descends the tree to draw by
+    weight.  The capacity is a power of two and doubles on demand."""
 
     def __init__(self):
         self.tree = [0, 0]
@@ -584,17 +677,3 @@ class _Fenwick:
         while i < n:
             tree[i] += delta
             i += i & -i
-
-    def find(self, r: int) -> tuple[int, int]:
-        """For 0 <= r < total: the index i whose weight covers r in the
-        cumulative order, and r's offset within that weight."""
-        tree = self.tree
-        pos = 0
-        bit = len(tree) - 1
-        while bit:
-            nxt = pos + bit
-            if tree[nxt] <= r:
-                pos = nxt
-                r -= tree[nxt]
-            bit >>= 1
-        return pos + 1, r

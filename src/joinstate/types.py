@@ -42,6 +42,10 @@ class TypeExpr:
 
     __slots__ = ("_key", "__weakref__")
 
+    def __deepcopy__(self, memo):
+        # Equal terms must stay one object, so a term is its own copy.
+        return self
+
 
 # Every live term, by class and fields.  Entries go when nothing else
 # references the term, so the table never outgrows the types in use.

@@ -1,5 +1,6 @@
 """Execution tests: termination, outputs, determinism, monitors, deadlock."""
 
+import copy
 import json
 import math
 import os
@@ -14,11 +15,21 @@ import pytest
 from joinstate.checker import check_program
 from joinstate.cli import main
 from joinstate.desugar import load_program
-from joinstate.oracle import enabled_reactions
+from joinstate.oracle import enabled_reactions, reaction
 from joinstate.parser import MAX_NESTING, ParseError
-from joinstate.runtime import Soup, _count_picks, _unrank_picks, run
+from joinstate.runtime import (
+    Soup,
+    _count_picks,
+    _pick_counts,
+    _regroup,
+    _unrank_picks,
+    run,
+)
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
+PI_DEPTH_3 = (PROGRAMS / "accepted" / "pi.cob").read_text().replace(
+    "Worker.New(10, 0)", "Worker.New(3, 0)"
+)
 
 
 def load_file(rel):
@@ -117,7 +128,7 @@ class TestUniformity:
         """The reaction behind every index the scheduler can draw."""
         out = Counter()
         for i in range(soup.enabled_count()):
-            inst, rule_idx, selection = soup.reaction(i)
+            inst, rule_idx, selection = reaction(soup, i)
             out[inst.oid, rule_idx, frozenset(selection)] += 1
         return out
 
@@ -161,10 +172,102 @@ class TestUniformity:
             assert q == r // len(ways)
             assert tuple(pick) == ways[r % len(ways)]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_counts_follow_the_payloads(self, seed):
+        # The soup keeps, per tag taken k >= 2 times, the ways to take m <= k
+        # messages, updated in place as one payload's copies change.
+        rng = random.Random(seed)
+        k = rng.randint(2, 5)
+        caps = [0] * rng.randint(1, 6)
+        ways = [1] + [0] * k
+        for _ in range(60):
+            g = rng.randrange(len(caps))
+            new = max(0, caps[g] + rng.choice((-2, -1, 1, 1, 2)))
+            _regroup(ways, caps[g], new)
+            caps[g] = new
+            assert ways == [_count_picks(caps, m) for m in range(k + 1)]
+
+    def test_many_payloads_are_counted_once(self, monkeypatch):
+        # Recounting a rule that takes A twice over every A payload after
+        # each delivery made this run quadratic: 1,130,248 payload groups
+        # counted over 1,502 steps.
+        counted = Counter()
+
+        def counting(caps, k):
+            caps = list(caps)
+            counted["groups"] += len(caps)
+            return _pick_counts(caps, k)
+
+        monkeypatch.setattr("joinstate.runtime._pick_counts", counting)
+        result = run_source(
+            "type #Sink = *A(#Number) . *GO and #Gen = *G(#Number, #Sink)"
+            " new o : #Sink [ A(x) & A(y) & GO |> System!Print(x + y) ] in"
+            " new gen : #Gen [ G(n, s) |> if n = 0 then s!GO"
+            " else s!A(n) & gen!G(n - 1, s) ] in gen!G(1500, o)",
+            seed=0,
+        )
+        assert result.verdict == "Terminated" and result.steps == 1502
+        assert counted["groups"] <= 2 * result.steps
+
     def test_indices_match_enabled_reactions_in_pi(self):
-        src = (PROGRAMS / "accepted" / "pi.cob").read_text()
-        src = src.replace("Worker.New(10, 0)", "Worker.New(3, 0)")
-        self.check_along_run(load_program(src), seed=2)
+        self.check_along_run(load_program(PI_DEPTH_3), seed=2)
+
+    @staticmethod
+    def reference_fire(soup, index):
+        """The mailbox and bindings that firing index should leave, from
+        the reference decoder: the selection is taken out, and each
+        pattern message, in pattern order, binds the last message of its
+        tag still unbound in the selection."""
+        inst, rule_idx, selection = reaction(soup, index)
+        mailbox = {tag: dict(msgs) for tag, msgs in inst.mailbox.items()}
+        by_tag = {}
+        for msg, copies in selection:
+            mailbox[msg[0]][msg] -= copies
+            by_tag.setdefault(msg[0], []).extend([msg] * copies)
+        left = {}
+        for tag, msgs in mailbox.items():
+            msgs = {msg: n for msg, n in msgs.items() if n}
+            if msgs:
+                left[tag] = msgs
+        bound = {}
+        for m in inst.node.rules[rule_idx].pattern:
+            bound.update(zip([x.uid for x in m.params], by_tag[m.tag].pop()[1]))
+        return inst, left, bound
+
+    # One rule takes A twice and another once, so either kind of
+    # consumption changes the kept count of ways to take two As.
+    MIXED = (
+        "new obj : *A(#Number) · *B"
+        " [ A(x) & A(y) |> System!Print(x - y) | A(x) & B |> System!Print(x) ]"
+        " in obj!A(1) & obj!A(1) & obj!A(2) & obj!A(3) & obj!B & obj!B"
+    )
+
+    @pytest.mark.parametrize("index", range(len(SOURCES) + 2))
+    def test_fire_agrees_with_reference_decoder(self, index):
+        program = load_program((self.SOURCES + (PI_DEPTH_3, self.MIXED))[index])
+        for seed in range(4):
+            soup = Soup(program, seed=seed, monitors=False)
+            while soup.enabled_count():
+                assert self.scheduled(soup) == Counter(enabled_reactions(soup))
+                for i in range(soup.enabled_count()):
+                    inst, mailbox, bound = self.reference_fire(soup, i)
+                    twin = copy.deepcopy(soup)
+                    fired = twin.instances[inst.oid.serial - 1]
+                    envs = []
+                    fired.rules = [
+                        (takes, lambda soup, env: envs.append(env), label)
+                        for takes, _, label in fired.rules
+                    ]
+                    twin.fire(i)
+                    # Compared as text, so the order of what is left, which
+                    # later draws depend on, must agree too.
+                    assert repr(fired.mailbox) == repr(mailbox), (seed, i)
+                    assert fired.counts == {
+                        tag: sum(msgs.values()) for tag, msgs in mailbox.items()
+                    }
+                    [env] = envs
+                    assert {x: env[x] for x in bound} == bound
+                soup.step()
 
 
 class TestQuiescence:
@@ -483,6 +586,39 @@ class TestCheckSolution:
         assert soup.check_solution()
         while soup.steps < 200 and soup.step():
             assert soup.check_solution()
+
+    def test_plain_run_records_nothing(self):
+        soup = Soup(load_file("accepted/sieve.cob"), seed=0)
+        while soup.steps < 300 and soup.step():
+            pass
+        assert soup._unchecked is None
+
+    # Two As against a strictly one-A protocol, run unmonitored: the
+    # invariant fails at first and holds once an A & B pair has reacted.
+    BREACH = "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B"
+
+    @pytest.mark.parametrize(
+        "src,steps,monitors",
+        [
+            ("accepted/future-class.cob", 4, True),
+            ("accepted/sieve.cob", 300, True),
+            (BREACH, 0, False),
+            (BREACH, 1, False),
+        ],
+    )
+    def test_first_check_covers_every_object(self, src, steps, monitors):
+        program = load_file(src) if src.endswith(".cob") else load_program(src)
+        answers = set()
+        for seed in range(3):
+            soup = Soup(program, seed=seed, monitors=monitors)
+            while soup.steps < steps and soup.step():
+                pass
+            expected = all(
+                soup.alg.usable(soup.residual(inst)) for inst in soup.instances
+            )
+            assert soup.check_solution() == expected
+            answers.add(expected)
+        assert answers == {src != self.BREACH or steps > 0}
 
     def test_only_changed_objects_are_derived_again(self, monkeypatch):
         # Rechecking every object after every step made a run quadratic in

@@ -7,8 +7,8 @@ Parikh-image machinery.  It is exact up to the enumeration size and the
 argument-recursion depth, which is what the property tests need.
 `member` decides membership in a union of linear sets by a plain search
 over period multiples, the reference for the engine's tables and cones.
-`reaction` decodes a soup's reaction index by scanning objects and rules,
-the reference for the runtime's one-pass `Soup.fire`.
+`reaction` decodes a soup's reaction index by scanning objects, rules and
+every pick (`reference_picks`), the reference for `Soup.fire`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from . import types as ty
-from .runtime import _unrank_picks
 from .semilinear import LinearSet, Vector
 from .types import Config, Msg, TypeAlgebra, TypeExpr
 
@@ -131,7 +130,8 @@ def oracle_live(
 
 TAGS = ("A", "B", "C", "D")
 # Tags that always carry exactly one argument, kept disjoint from the plain
-# ones so every generated tag has a single arity.
+# ones.  The law battery's samples and fingerprint follow this draw, so
+# mixed-arity slots of one tag are generated by their own property test.
 ARG_TAGS = ("M", "N")
 
 
@@ -203,6 +203,19 @@ def enabled_reactions(soup) -> list[tuple]:
     return out
 
 
+def reference_picks(groups: Sequence[tuple], k: int) -> Iterable[tuple]:
+    """Every way to take k items from (payload, capacity) groups, as tuples
+    of (payload, taken) pairs, in the order of the scheduler's indices."""
+    if k == 0:
+        yield ()
+    if k == 0 or not groups:
+        return
+    (msg, cap), rest = groups[0], groups[1:]
+    for take in range(min(k, cap), -1, -1):
+        for tail in reference_picks(rest, k - take):
+            yield ((msg, take),) + tail if take else tail
+
+
 def reaction(soup, index: int) -> tuple:
     """The reaction that index names among a runtime soup's enabled ones,
     0 <= index < soup.enabled_count(), decoded the slow way: a scan of the
@@ -227,6 +240,7 @@ def reaction(soup, index: int) -> tuple:
             r, j = divmod(r, len(msgs))
             selection.append((list(msgs)[j], 1))
         else:
-            r, picks = _unrank_picks(list(msgs.items()), k, r)
-            selection.extend(picks)
+            picks = list(reference_picks(list(msgs.items()), k))
+            r, j = divmod(r, len(picks))
+            selection.extend(picks[j])
     return inst, rule_idx, selection

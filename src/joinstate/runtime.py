@@ -14,7 +14,8 @@ message, which is taken out of the mailbox and bound to the parameters
 that `_compile` aligned with that order.  A rule taking one tag k >= 2
 times keeps, per object and tag, the ways to take m <= k messages as a
 polynomial truncated after x^k, so a delivery or a consumption updates
-the count in O(k) instead of recounting every payload.
+the count in O(k) instead of recounting every payload; a firing decodes
+its pick from a copy of the same polynomial.
 
 Optional monitors track every object's declared type derived by the tags
 sitting in its mailbox.  A delivery derives the residual by one more tag.
@@ -27,8 +28,8 @@ leftover message still carries an argument the type marks as relevant, as
 somebody is waiting forever.  Otherwise, with monitors on, every residual
 must be nullable: a mailbox holding only part of a configuration of its
 protocol means a message was sent too many or too few times.  Arithmetic
-faults and sends to methods the builtin objects lack end the run as a
-RuntimeFault.
+faults, sends to methods the builtin objects lack and reads of parameters
+a message was too short to bind end the run as a RuntimeFault.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ class Soup:
         # protocol then.
         self._unchecked: Optional[dict[Instance, None]] = None
         self._misfits: set[Instance] = set()
+        # Parameter uid -> the fault of reading it unbound (see short).
+        self._unbound: dict[int, str] = {}
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
@@ -346,6 +349,8 @@ class Soup:
                     msg, copies = next(islice(msgs.items(), j, None))
                 else:
                     msg, copies = next(iter(msgs.items()))
+                if len(msg[1]) < len(params):
+                    self.short(tag, msg[1], params)
                 env.update(zip(params, msg[1]))
                 if tracing:
                     consumed.append(msg)
@@ -360,7 +365,7 @@ class Soup:
                     continue
                 counts[tag] -= 1
             else:
-                r, taken = _unrank_picks(list(msgs.items()), k, r)
+                r, taken = _unrank_picks(picks[tag], msgs.items(), k, r)
                 group: list[Message] = []
                 for msg, n in taken:
                     copies = msgs[msg]
@@ -371,6 +376,8 @@ class Soup:
                     _regroup(picks[tag], copies, copies - n)
                     group += [msg] * n
                 for uids, msg in zip(params, group):
+                    if len(msg[1]) < len(uids):
+                        self.short(tag, msg[1], uids)
                     env.update(zip(uids, msg[1]))
                 consumed += group
                 if msgs:
@@ -399,8 +406,20 @@ class Soup:
         when the soup has quiesced."""
         if not self._enabled.total:
             return False
-        self.fire(self.rng.randrange(self._enabled.total))
+        try:
+            self.fire(self.rng.randrange(self._enabled.total))
+        except KeyError as exc:
+            # Only a parameter that short() noted can be missing from an env.
+            if exc.args[0] not in self._unbound:
+                raise
+            raise RuntimeError_(self._unbound[exc.args[0]]) from None
         return True
+
+    def short(self, tag: str, args: tuple, params: list):
+        """Note the parameters that a message with fewer arguments than its
+        pattern leaves unbound (only an unchecked program sends one)."""
+        fault = f"message {tag}/{len(args)} taken by a pattern {tag}/{len(params)}"
+        self._unbound.update(dict.fromkeys(params[len(args):], fault))
 
     # --- end states ---------------------------------------------------------
 
@@ -428,9 +447,7 @@ class Soup:
             self.emit(
                 "deadlock",
                 repr(oid),
-                ",".join(sorted(
-                    tag for tag, msgs in inst.mailbox.items() for _ in msgs
-                )),
+                ",".join(inst.tags()),
                 "",
             )
         if stuck or not self.monitors:
@@ -595,26 +612,6 @@ def _compile_expr(e: Expr) -> Callable[[Env], Value]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _pick_counts(caps, k):
-    """Row g holds, for each m <= k, the number of ways to take m items
-    from the first g payload groups with the given capacities."""
-    ways = [1] + [0] * k
-    rows = [ways]
-    for cap in caps:
-        ways = [
-            sum(ways[j - take] for take in range(min(cap, j) + 1))
-            for j in range(k + 1)
-        ]
-        rows.append(ways)
-    return rows
-
-
-def _count_picks(caps, k):
-    """How many ways there are to take k items from payload groups with
-    the given capacities."""
-    return _pick_counts(caps, k)[-1][k]
-
-
 def _regroup(ways, old, new):
     """Change one payload group's capacity from old to new in ways, where
     ways[m] counts the ways to take m items from all groups (m <= k).  ways
@@ -631,27 +628,28 @@ def _regroup(ways, old, new):
         ways[j] -= ways[j - step]
 
 
-def _unrank_picks(groups, k, r):
-    """Split r into (r // w, pick), where w = _count_picks over groups'
-    capacities and pick is way number r % w to take k items from the
-    (payload, capacity) groups, as (payload, taken) pairs for the groups
-    it takes from.  Ways are ordered by the first group's take, largest
-    first, then by the ways of the rest, ordered alike."""
-    # after[g][m]: the ways to take m items from groups g, g + 1, ...
-    after = _pick_counts([cap for _, cap in reversed(groups)], k)[::-1]
-    r, j = divmod(r, after[0][k])
+def _unrank_picks(ways, groups, k, r):
+    """Split r into (r // ways[k], pick), where ways counts the ways to take
+    m items from the (payload, capacity) groups, as `_regroup` keeps it,
+    and pick is way number r % ways[k] to take k items, as (payload, taken)
+    pairs.  Ways are ordered by the first group's take, largest first, then
+    by the ways of the rest, whose count is what dividing that group's
+    factor out of a copy of ways leaves."""
+    r, j = divmod(r, ways[k])
+    rest = list(ways)
     pick = []
-    for g, (msg, cap) in enumerate(groups):
-        if not k:
-            break
+    for msg, cap in groups:
+        _regroup(rest, cap, 0)
         for take in range(min(k, cap), -1, -1):
-            ways = after[g + 1][k - take]
-            if j < ways:
+            count = rest[k - take]
+            if j < count:
                 break
-            j -= ways
+            j -= count
         if take:
             pick.append((msg, take))
             k -= take
+            if not k:
+                break
     return r, pick
 
 

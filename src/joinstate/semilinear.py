@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .types import Config, Msg, TypeAlgebra, TypeDeclError, TypeExpr, sort_key
+from .types import Config, Msg, TypeAlgebra, TypeExpr, sort_key
 
 Vector = tuple[int, ...]
 
@@ -72,7 +72,7 @@ def _scale_add(u: Vector, v: Vector, k: int) -> Vector:
 
 def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
     """The message slots of the given types, in sort order; memoized on alg.
-    A tag that comes with two arities is a TypeDeclError."""
+    Messages of one tag with different arities are different slots."""
     alphabet = alg.alphabet_memo.get(types)
     if alphabet is not None:
         return alphabet
@@ -80,10 +80,6 @@ def joint_alphabet(alg: TypeAlgebra, *types: TypeExpr) -> Alphabet:
     for t in types:
         slots |= alg.heads(t)
     alphabet = tuple(sorted(slots, key=sort_key))
-    arities: dict[str, int] = {}
-    for m in alphabet:
-        if arities.setdefault(m.tag, len(m.args)) != len(m.args):
-            raise TypeDeclError(f"tag {m.tag} used with inconsistent arities")
     alg.alphabet_memo[types] = alphabet
     return alphabet
 

@@ -229,24 +229,10 @@ def _refs(t: TypeExpr, head_only: bool) -> Iterator[str]:
             yield from _refs(p, head_only)
 
 
-def _check_arities(name: str, t: TypeExpr, seen: dict[str, int]) -> None:
-    if isinstance(t, Msg):
-        if seen.setdefault(t.tag, len(t.args)) != len(t.args):
-            raise TypeDeclError(
-                f"tag {t.tag} used with arities {seen[t.tag]} and {len(t.args)} in {name}"
-            )
-        for a in t.args:
-            _check_arities(name, a, seen)
-    elif isinstance(t, Star):
-        _check_arities(name, t.body, seen)
-    elif isinstance(t, (Sum, Prod)):
-        for p in t.parts:
-            _check_arities(name, p, seen)
-
-
 def resolve_types(decls: Iterable[tuple[str, TypeExpr]]) -> dict[str, TypeExpr]:
     """Build a type table from declarations, rejecting unknown names,
-    duplicates, inconsistent tag arities and head-position reference cycles."""
+    duplicates and head-position reference cycles.  A tag may come with
+    several arities: each message type is its own slot."""
     table: dict[str, TypeExpr] = dict(BUILTIN_TYPES)
     for name, expr in decls:
         if name in table:
@@ -257,7 +243,6 @@ def resolve_types(decls: Iterable[tuple[str, TypeExpr]]) -> dict[str, TypeExpr]:
         for ref in _refs(expr, head_only=False):
             if ref not in table:
                 raise TypeDeclError(f"unknown type name {ref} in {name}")
-        _check_arities(name, expr, {})
 
     # Head-position references must form an acyclic graph so that every
     # type has a finite head unfolding.

@@ -114,8 +114,9 @@ class TestCheck:
         assert main(["run", str(src)]) == 0
         assert capsys.readouterr().out.splitlines() == ["3"]
 
-    # A tag with two arities in one subtype question: in a declared type,
-    # in a subtype check between #A and #B, and on the way to a run.
+    # A tag's messages of different arities are different slots, so a
+    # program that mixes them gets an ordinary verdict with positions: a
+    # send or pattern that does not pin down its slot is AmbiguousArgs.
     MIXED_ARITY = "new o : M(N) . M [ M(x) |> done ] in done"
     MIXED_ARITY_SUBTYPE = """
     type #A = M(N) and #B = M
@@ -123,26 +124,58 @@ class TestCheck:
     new a : #A [ M(n) |> done ] in
     k!K(a)
     """
+    MIXED_ARITY_PATTERN = (
+        "type #A = M(#Number) . M\n"
+        "new o : #A [ M(n) & M |> done ] in o!M(1) & o!M"
+    )
+    MIXED_ARITY_ACCEPTED = (
+        "type #T = 1 + A . M(#Number) + B . M\n"
+        "new o : #T [ A & M(x) |> done | B & M |> done ] in o!(A & M(1))"
+    )
+    # A user CLOSURE(#Number) slot meets the CLOSURE(A, A) of the
+    # continuation that captures a and b.
+    MIXED_ARITY_CLOSURE = """type #R = Reply(#Number) . CLOSURE(#Number)
+and #S = *Get(#R)
+new s : #S [ Get(r) |> r!Reply(1) & r!CLOSURE(2) ] in
+new a : *A [ A |> done ] in new b : *A [ A |> done ] in
+    let n = s.Get in a!A & b!A & System!Print(n)
+"""
 
     @pytest.mark.parametrize(
-        "argv,src",
+        "argv,src,code,lines",
         [
-            (["explain", "--type", "M(A) . M", "--parikh"], None),
-            (["check"], MIXED_ARITY),
-            (["check"], MIXED_ARITY_SUBTYPE),
-            (["run", "--no-typecheck"], MIXED_ARITY),
+            (["explain", "--type", "M(A) . M", "--parikh"], None, 0,
+             ["parikh: M + M(A)"]),
+            (["check"], MIXED_ARITY, 1, ["1:1: AmbiguousArgs: "]),
+            (["check"], MIXED_ARITY_SUBTYPE, 1,
+             ["4:5: ProtocolViolation: usage of a#3: #B does not refine #A"]),
+            (["check"], MIXED_ARITY_PATTERN, 1,
+             ["2:1: AmbiguousArgs: rule M & M of o#1"]),
+            (["check"], MIXED_ARITY_ACCEPTED, 0, ["verdict: accepted"]),
+            (["check"], MIXED_ARITY_CLOSURE, 1, ["5:5: "] * 3),
+            (["run", "--no-typecheck"], MIXED_ARITY, 2,
+             ["verdict: MonitorViolation (o@1 ends with messages []"]),
         ],
-        ids=["explain-type", "check-decl", "check-subtype", "run-unchecked"],
+        ids=[
+            "explain-type", "check-decl", "check-subtype", "check-pattern",
+            "check-accepted", "check-closure", "run-unchecked",
+        ],
     )
-    def test_mixed_tag_arities_are_a_data_error(self, tmp_path, capsys, argv, src):
+    def test_mixed_tag_arities_get_a_verdict(
+        self, tmp_path, capsys, argv, src, code, lines
+    ):
         if src is not None:
-            bad = tmp_path / "arity.cob"
-            bad.write_text(src)
-            argv = [*argv, str(bad)]
-        assert main(argv) == 65
-        assert capsys.readouterr().err == (
-            "joinstate: tag M used with inconsistent arities\n"
-        )
+            prog = tmp_path / "arity.cob"
+            prog.write_text(src)
+            argv = [*argv, str(prog)]
+        assert main(argv) == code
+        # A verdict prints to stdout, rejection diagnostics to stderr.
+        out = "".join(capsys.readouterr())
+        assert "joinstate:" not in out
+        # Each expected line starts some output line, in order.
+        found = iter(out.splitlines())
+        for want in lines:
+            assert any(line.startswith(want) for line in found), out
 
     @pytest.mark.parametrize("command", ["check", "run", "explain"])
     def test_non_utf8_source_is_data_error(self, tmp_path, capsys, command):
@@ -249,6 +282,7 @@ class TestRun:
                 False,
             ),
             ("new o : 1 + A(#Number) [ A(n) |> n!B ] in o!A(1)", False),
+            ("new o : *M(#Number) [ M(x) |> System!Print(x) ] in o!M", False),
         ],
     )
     def test_runtime_fault_exit_code(self, tmp_path, capsys, src, typecheck):

@@ -15,12 +15,10 @@ import pytest
 from joinstate.checker import check_program
 from joinstate.cli import main
 from joinstate.desugar import load_program
-from joinstate.oracle import enabled_reactions, reaction
+from joinstate.oracle import enabled_reactions, reaction, reference_picks
 from joinstate.parser import MAX_NESTING, ParseError
 from joinstate.runtime import (
     Soup,
-    _count_picks,
-    _pick_counts,
     _regroup,
     _unrank_picks,
     run,
@@ -147,30 +145,30 @@ class TestUniformity:
             self.check_along_run(program, seed)
 
     @staticmethod
-    def reference_picks(groups, k):
-        """Every way to take k items from (payload, capacity) groups, in
-        the order the scheduler's indices follow."""
-        if k == 0:
-            yield ()
-            return
-        if not groups:
-            return
-        (msg, cap), rest = groups[0], groups[1:]
-        for take in range(min(k, cap), -1, -1):
-            for tail in TestUniformity.reference_picks(rest, k - take):
-                yield ((msg, take),) + tail if take else tail
+    def kept_ways(caps, k):
+        """The count of ways to take m <= k items from groups of the given
+        capacities, built as the soup keeps it, one delivery at a time."""
+        ways = [1] + [0] * k
+        for cap in caps:
+            for copies in range(cap):
+                _regroup(ways, copies, copies + 1)
+        return ways
 
     @pytest.mark.parametrize("seed", range(20))
     def test_unranking_follows_the_enumeration(self, seed):
         rng = random.Random(seed)
         groups = [(i, rng.randint(1, 4)) for i in range(rng.randint(1, 6))]
         k = rng.randint(1, 6)
-        ways = list(self.reference_picks(groups, k))
-        assert _count_picks([cap for _, cap in groups], k) == len(ways)
-        for r in range(2 * len(ways)):
-            q, pick = _unrank_picks(groups, k, r)
-            assert q == r // len(ways)
-            assert tuple(pick) == ways[r % len(ways)]
+        # The kept count may run past k, for a larger k of another rule.
+        ways = self.kept_ways([cap for _, cap in groups], k + rng.randint(0, 2))
+        kept = list(ways)
+        refs = list(reference_picks(groups, k))
+        assert ways[k] == len(refs)
+        for r in range(2 * len(refs)):
+            q, pick = _unrank_picks(ways, groups, k, r)
+            assert q == r // len(refs)
+            assert tuple(pick) == refs[r % len(refs)]
+        assert ways == kept
 
     @pytest.mark.parametrize("seed", range(20))
     def test_kept_counts_follow_the_payloads(self, seed):
@@ -185,20 +183,24 @@ class TestUniformity:
             new = max(0, caps[g] + rng.choice((-2, -1, 1, 1, 2)))
             _regroup(ways, caps[g], new)
             caps[g] = new
-            assert ways == [_count_picks(caps, m) for m in range(k + 1)]
+            groups = list(enumerate(caps))
+            assert ways == [
+                len(list(reference_picks(groups, m))) for m in range(k + 1)
+            ]
 
     def test_many_payloads_are_counted_once(self, monkeypatch):
         # Recounting a rule that takes A twice over every A payload after
         # each delivery made this run quadratic: 1,130,248 payload groups
-        # counted over 1,502 steps.
-        counted = Counter()
+        # counted over 1,502 steps.  Kept, the count changes by one group's
+        # factor per delivery or consumption, and the one firing of the
+        # rule divides out at most one factor per payload group.
+        regrouped = Counter()
 
-        def counting(caps, k):
-            caps = list(caps)
-            counted["groups"] += len(caps)
-            return _pick_counts(caps, k)
+        def counting(ways, old, new):
+            regrouped["groups"] += 1
+            _regroup(ways, old, new)
 
-        monkeypatch.setattr("joinstate.runtime._pick_counts", counting)
+        monkeypatch.setattr("joinstate.runtime._regroup", counting)
         result = run_source(
             "type #Sink = *A(#Number) . *GO and #Gen = *G(#Number, #Sink)"
             " new o : #Sink [ A(x) & A(y) & GO |> System!Print(x + y) ] in"
@@ -207,7 +209,7 @@ class TestUniformity:
             seed=0,
         )
         assert result.verdict == "Terminated" and result.steps == 1502
-        assert counted["groups"] <= 2 * result.steps
+        assert regrouped["groups"] <= 2 * result.steps
 
     def test_indices_match_enabled_reactions_in_pi(self):
         self.check_along_run(load_program(PI_DEPTH_3), seed=2)
@@ -291,6 +293,19 @@ class TestQuiescence:
         assert result.verdict == "Deadlocked"
         assert result.deadlocked
 
+    def test_deadlock_trace_counts_copies(self):
+        # Two copies of one Get payload wait on an A that never comes.
+        result = run_source(
+            "new obj : *(A . Get(Reply(#Number)))"
+            " [ A & Get(r) |> r!Reply(1) ] in"
+            " new user : *Reply(#Number) [ Reply(n) |> System!Print(n) ] in"
+            " obj!Get(user) & obj!Get(user)",
+            trace=True,
+        )
+        assert result.verdict == "Deadlocked"
+        [event] = [e for e in result.trace if e.kind == "deadlock"]
+        assert (event.obj, event.tags) == ("obj@1", "Get,Get")
+
     def test_rejected_deadlock_program_deadlocks_at_runtime(self):
         result = run(load_file("rejected/future-user-deadlock.cob"))
         assert result.verdict == "Deadlocked"
@@ -322,6 +337,22 @@ class TestQuiescence:
         assert result.violation is None
 
 
+class TestMixedArities:
+    # M(#Number) and M are two slots of M: each rule pins down its own.
+    SOURCE = (
+        "type #T = 1 + A . M(#Number) + B . M\n"
+        "new o : #T [ A & M(x) |> done | B & M |> done ] in o!(A & M(1))"
+    )
+
+    def test_accepted_program_keeps_its_invariant(self):
+        program = load_program(self.SOURCE)
+        assert check_program(program).verdict == "accepted"
+        for seed in range(50):
+            result = run(program, seed=seed, check_solution=True)
+            assert result.verdict == "Terminated", seed
+            assert not result.invariant_failed, seed
+
+
 class TestRuntimeFaults:
     def test_division_by_zero_at_start(self):
         result = run_source("System!Print(1 / 0)")
@@ -350,6 +381,34 @@ class TestRuntimeFaults:
         )
         assert result.verdict == "RuntimeFault"
         assert "cannot apply + to obj@1 and 1" in result.violation
+
+    @pytest.mark.parametrize("src", [
+        "new o : *M(#Number) [ M(x) |> System!Print(x) ] in o!M",
+        # A tag taken twice by one rule is bound on another path.
+        "new o : *M(#Number) [ M(x) & M(y) |> System!Print(x + y) ]"
+        " in o!M(1) & o!M",
+        # The parameter is read in a later reaction of an object the
+        # body creates.
+        "new o : *M(#Number) [ M(x) |> new p : P [ P |> System!Print(x) ]"
+        " in p!P ] in o!M",
+    ], ids=["once", "twice", "later"])
+    def test_parameter_a_short_message_left_unbound(self, src):
+        # Only an unchecked program sends these; reading x used to escape
+        # as a KeyError.
+        result = run_source(src)
+        assert result.verdict == "RuntimeFault"
+        assert result.violation == (
+            "RuntimeError_: message M/0 taken by a pattern M/1"
+        )
+        assert result.outputs == []
+
+    def test_unread_parameter_of_a_short_message(self):
+        # With nothing reading y, the run goes on.
+        result = run_source(
+            "new o : *M(#Number, #Number) [ M(x, y) |> System!Print(x) ]"
+            " in o!M(1)"
+        )
+        assert (result.verdict, result.outputs) == ("Terminated", [1.0])
 
 
 class TestOperators:

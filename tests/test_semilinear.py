@@ -8,7 +8,13 @@ import time
 import pytest
 
 from joinstate import types as ty
-from joinstate.oracle import _linear_member, member, oracle_subtype, random_type
+from joinstate.oracle import (
+    _linear_member,
+    config_le,
+    member,
+    oracle_subtype,
+    random_type,
+)
 from joinstate.semilinear import (
     AMBIGUOUS,
     DEAD,
@@ -547,6 +553,61 @@ def test_law_battery_fingerprint():
     assert digest.hexdigest() == (
         "c9aa6f12c8366e72b2d794ae5ed99c697587b6862391a760f6fc6f352db34caa"
     )
+
+
+class TestMixedArities:
+    """One tag with slots of several arities, which `random_type` never
+    draws: M, M(#Number) and M(A) are three slots of M."""
+
+    ATOMS = (M, msg("M", NUMBER), msg("M", A), A, B)
+
+    @classmethod
+    def mixed_type(cls, rng, depth=2):
+        if depth <= 0 or rng.random() < 0.3:
+            return rng.choice(cls.ATOMS)
+        parts = [cls.mixed_type(rng, depth - 1) for _ in range(2)]
+        roll = rng.random()
+        if roll < 0.4:
+            return Sum(parts)
+        if roll < 0.8:
+            return Prod(parts)
+        return Star(parts[0])
+
+    @classmethod
+    def pair(cls, rng):
+        """A supertype s and a subtype candidate t, built from s most of
+        the time so that about half the pairs hold."""
+        s = cls.mixed_type(rng)
+        roll = rng.random()
+        if roll < 0.4:
+            return cls.mixed_type(rng), s
+        if roll < 0.7:
+            return Sum((s, cls.mixed_type(rng, 1))), s
+        if roll < 0.85:
+            return Star(s), s
+        return Prod((s, Star(cls.mixed_type(rng, 1)))), s
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_oracle(self, seed):
+        rng = random.Random(seed)
+        alg = TypeAlgebra()
+        kinds = set()
+        for _ in range(500):
+            t, s = self.pair(rng)
+            verdict = SubtypeEngine(alg).subtype(t, s)
+            kinds.add(verdict.kind)
+            if verdict.kind == "yes":
+                assert oracle_subtype(alg, t, s, size=5), (t, s)
+            elif verdict.kind == "no":
+                # A configuration of s that no configuration of t covers.
+                cex = verdict.counterexample
+                assert cex in alg.enumerate_configs(normalize(s), len(cex))
+                assert not any(
+                    config_le(alg, cex, c)
+                    for c in alg.enumerate_configs(normalize(t), len(cex))
+                    if len(c) == len(cex)
+                ), (t, s, cex)
+        assert {"yes", "no"} <= kinds
 
 
 class TestDerivativeFacts:

@@ -258,9 +258,12 @@ class TestResolveTypes:
         with pytest.raises(TypeDeclError, match="unknown"):
             resolve_types([("#T", Ref("#Missing"))])
 
-    def test_inconsistent_arity_rejected(self):
-        with pytest.raises(TypeDeclError, match="arities"):
-            resolve_types([("#T", Prod((msg("M", NUMBER), msg("M"))))])
+    def test_tag_with_several_arities_accepted(self):
+        # M(#Number) and M are two slots of one tag, within one declaration
+        # or across two.
+        t = Prod((msg("M", NUMBER), msg("M")))
+        table = resolve_types([("#T", t), ("#U", Sum((msg("M"), ONE)))])
+        assert table["#T"] == t
 
 
 class TestRender:

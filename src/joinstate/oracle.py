@@ -36,9 +36,12 @@ def config_le(
         if i == len(cs):
             return True
         sup = cs[i]
+        # Equal messages are interchangeable: try each distinct one once.
+        tried = set()
         for j, sub in enumerate(remaining):
-            if sub is None or sub.tag != sup.tag:
+            if sub is None or sub.tag != sup.tag or sub in tried:
                 continue
+            tried.add(sub)
             if len(sub.args) != len(sup.args):
                 continue
             if all(

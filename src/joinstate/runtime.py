@@ -28,8 +28,9 @@ leftover message still carries an argument the type marks as relevant, as
 somebody is waiting forever.  Otherwise, with monitors on, every residual
 must be nullable: a mailbox holding only part of a configuration of its
 protocol means a message was sent too many or too few times.  Arithmetic
-faults, sends to methods the builtin objects lack and reads of parameters
-a message was too short to bind end the run as a RuntimeFault.
+faults, `Pow` outside its domain, objects passed to a builtin as numbers,
+sends to methods the builtin objects lack and reads of parameters a
+message was too short to bind end the run as a RuntimeFault.
 """
 
 from __future__ import annotations
@@ -157,9 +158,16 @@ class RuntimeError_(Exception):
     pass
 
 
+def _numbers(target: ObjId, tag: str, values: tuple[Value, ...]):
+    # Only an unchecked program passes an object; booleans print as numbers.
+    for v in values:
+        if isinstance(v, ObjId):
+            raise RuntimeError_(f"{target.text}!{tag} takes numbers, not {v!r}")
+
+
 # What a well-formed program can still raise while it runs: `/` or `%` by
-# zero (math.fmod raises ValueError), overflow, and sends to methods the
-# builtin objects lack.
+# zero and `Pow` outside its domain (math.fmod and math.pow raise
+# ValueError), overflow, and sends to methods the builtin objects lack.
 RUNTIME_FAULTS = (ArithmeticError, ValueError, RuntimeError_)
 
 
@@ -238,11 +246,13 @@ class Soup:
     def call_builtin(self, target: ObjId, msg: Message):
         tag, args = msg
         if target is SYSTEM_ID and tag == "Print" and len(args) == 1:
+            _numbers(target, tag, args)
             self.outputs.append(args[0])
             self.emit("print", "System", tag, _fmt(args[0]))
         elif target is NUMBER_ID and tag == "Pow" and len(args) == 3:
             base, exp, reply = args
-            self.deliver(reply, ("Reply", (float(base) ** float(exp),)))
+            _numbers(target, tag, (base, exp))
+            self.deliver(reply, ("Reply", (math.pow(base, exp),)))
         else:
             raise RuntimeError_(f"{target.text} has no method {tag}/{len(args)}")
 

@@ -12,22 +12,27 @@ periods; when some checked component has periods, or an argument check
 answered YesBounded, the answer is YesBounded, which callers may treat as
 success with a recorded caveat.
 
+Each `_subtype` call keeps one table of candidate slots, row i the slots
+whose arguments fit slot i's, filled on first use (`SubtypeEngine._fits`):
+the fast path takes its slot maps from it and the bounded check its
+transports.
+
 The fast path embeds a whole supertype component (b, P) into one subtype
-component through a slot map that sends each slot to one whose arguments
-fit: the identity first, then each other map, applied once to b and P.  A
-target (a, Q) takes the image when the mapped periods are among Q and the
-mapped base minus a is a sum of Q's periods (`_lies_in`).  Each slot's
-candidate slots are found once per `_subtype` call; the sums reachable from
-each period set are memoized on the engine and live as long as it.
+component through a slot map that sends each slot to a candidate: the
+identity first, then each other map, applied once to b and P.  A target
+(a, Q) takes the image when the mapped periods are among Q and the mapped
+base minus a is a sum of Q's periods (`_lies_in`).  The sums reachable
+from each period set are memoized on the engine and live as long as it.
 
 Each of the bounded checks is a table lookup.  One `_subtype` call builds
 a bitset of the subtype's Parikh image over the box of counts the checked
 vectors can reach: one cone of period sums per distinct period set, shifted
-by each base that has it (`_Box`).  A vector matches when it, or another
-split of its tag counts over the slots of a tag, is in the bitset and its
-messages can be transported onto that split along argument subtyping
-(`_Matcher`).  The table takes one bit per point of the box; criterion 8's
-largest has 10,368.
+by each base that has it (`_Box`).  A vector v matches when it, or another
+split w of its tag counts over the slots of a tag, is in the bitset and v's
+messages can move onto w's slots, each to a candidate (`_Matcher`): by the
+supply-demand theorem (Gale 1957), when no set of v's slots holds more
+messages than w has on the slots they may use (`_transport_exists`).  The
+table takes one bit per point of the box; criterion 8's largest has 10,368.
 
 Sums, products and stars prune components as they build them (`_prune`):
 a component goes when another contains it by the same test.  There the
@@ -243,50 +248,31 @@ class Verdict:
 YES = Verdict("yes")
 
 
-def _config_of_vector(v: Vector, alphabet: Alphabet) -> Config:
-    out: list[Msg] = []
-    for count, slot in zip(v, alphabet):
-        out.extend([slot] * count)
-    return tuple(out)
-
-
-def _tag_counts(v: Vector, tag_of: Sequence[int], n_tags: int) -> list[int]:
-    """Message counts per tag, where tag_of gives each coordinate's tag."""
-    counts = [0] * n_tags
-    for i, count in zip(tag_of, v):
-        counts[i] += count
-    return counts
+def _tag_slots(alphabet: Alphabet) -> dict[str, list[int]]:
+    """The slot indices of each tag, in alphabet order."""
+    out: dict[str, list[int]] = {}
+    for i, slot in enumerate(alphabet):
+        out.setdefault(slot.tag, []).append(i)
+    return out
 
 
 def _transport_exists(
     supply: list[int], demand: list[int], allowed: list[list[bool]]
 ) -> bool:
     """Whether all supply units can be distributed into demand along allowed
-    edges.  Instances are tiny (a handful of units), so backtracking suffices."""
+    edges.  By the supply-demand theorem (Gale 1957), exactly when the
+    totals are equal and no set of rows supplies more than the columns it
+    may use demand.  Rows are a tag's slots, a handful at most, so every
+    set is tried."""
     if sum(supply) != sum(demand):
         return False
-
-    def place(i: int, demand: list[int]) -> bool:
-        if i == len(supply):
-            return True
-        cols = [j for j in range(len(demand)) if allowed[i][j]]
-
-        def split(k: int, need: int) -> bool:
-            if need == 0:
-                return place(i + 1, demand)
-            if k == len(cols):
+    rows = range(len(supply))
+    for r in range(1, len(supply) + 1):
+        for subset in itertools.combinations(rows, r):
+            cols = {j for i in subset for j, ok in enumerate(allowed[i]) if ok}
+            if sum(supply[i] for i in subset) > sum(demand[j] for j in cols):
                 return False
-            j = cols[k]
-            for take in range(min(need, demand[j]), -1, -1):
-                demand[j] -= take
-                if split(k + 1, need - take):
-                    return True
-                demand[j] += take
-            return False
-
-        return split(0, supply[i])
-
-    return place(0, list(demand))
+    return True
 
 
 class SubtypeEngine:
@@ -365,7 +351,7 @@ class SubtypeEngine:
         s_comps = parikh(alg, s, alphabet)
         matcher: _Matcher | None = None
         # Each slot's candidate list, filled on first use and shared by the
-        # supertype components.
+        # supertype components and the matcher.
         candidates: list[list[int] | None] = [None] * len(alphabet)
         # A component without periods is one vector, which the matcher
         # checks exhaustively; only periods leave vectors past the bound.
@@ -374,8 +360,8 @@ class SubtypeEngine:
             if self._fast_include(comp, t_comps, alphabet, candidates):
                 continue
             if matcher is None:
-                matcher = _Matcher(self, t_comps, s_comps, alphabet)
-            missing = self._bounded_include(comp, matcher, alphabet)
+                matcher = _Matcher(self, t_comps, s_comps, alphabet, candidates)
+            missing = matcher.missing(comp)
             if missing is not None:
                 return Verdict("no", counterexample=missing)
             bounded = bounded or any(any(p) for p in comp.periods)
@@ -389,23 +375,13 @@ class SubtypeEngine:
         candidates: list[list[int] | None],
     ) -> bool:
         """Try to embed a whole supertype component into one subtype component
-        through a single slot-to-slot map.  candidates[i] lists the slots
-        whose arguments fit slot i's; the call fills the missing ones it
-        needs."""
+        through a single slot-to-slot map, each slot sent to a candidate."""
         n = len(alphabet)
         used = [i for i, col in enumerate(zip(comp.base, *comp.periods)) if any(col)]
         if not used:
             # Only the zero vector; nullability was already checked.
             return True
-        lists = []
-        for i in used:
-            c = candidates[i]
-            if c is None:
-                # Never empty: a slot's arguments always fit the slot itself.
-                c = candidates[i] = [
-                    j for j in range(n) if self._args_ok(alphabet[i], alphabet[j])
-                ]
-            lists.append(c)
+        lists = [self._fits(i, alphabet, candidates) for i in used]
         total = 1
         for c in lists:
             total *= len(c)
@@ -433,33 +409,18 @@ class SubtypeEngine:
                 return True
         return False
 
-    def _bounded_include(
-        self, comp: LinearSet, matcher: "_Matcher", alphabet: Alphabet
-    ) -> Config | None:
-        """Check vectors of comp with period-coefficient sum <= bound; return a
-        counterexample configuration if one has no match."""
-        periods = sorted(p for p in comp.periods if any(p))
-        for coeffs in _bounded_coeffs(len(periods), self.bound):
-            v = comp.base
-            for p, k in zip(periods, coeffs):
-                v = _scale_add(v, p, k)
-            if not matcher.matches(v):
-                return _config_of_vector(v, alphabet)
-        return None
-
-    def _transport_ok(self, v: Vector, w: Vector, alphabet: Alphabet) -> bool:
-        tags = {alphabet[i].tag for i in range(len(v)) if v[i]}
-        for tag in tags:
-            sup = [i for i in range(len(v)) if v[i] and alphabet[i].tag == tag]
-            sub = [j for j in range(len(w)) if w[j] and alphabet[j].tag == tag]
-            supply = [v[i] for i in sup]
-            demand = [w[j] for j in sub]
-            allowed = [
-                [self._args_ok(alphabet[i], alphabet[j]) for j in sub] for i in sup
+    def _fits(
+        self, i: int, alphabet: Alphabet, candidates: list[list[int] | None]
+    ) -> list[int]:
+        """candidates[i], the slots whose arguments fit slot i's, filled on
+        first use; never empty, as a slot fits itself."""
+        row = candidates[i]
+        if row is None:
+            sup = alphabet[i]
+            row = candidates[i] = [
+                j for j, sub in enumerate(alphabet) if self._args_ok(sup, sub)
             ]
-            if not _transport_exists(supply, demand, allowed):
-                return False
-        return True
+        return row
 
 
 def _bounded_coeffs(n: int, total: int) -> Iterable[tuple[int, ...]]:
@@ -530,10 +491,10 @@ class _Matcher:
     subtype's components, for one `_subtype` call.
 
     A match w has v's count for every tag and lies in the subtype's Parikh
-    image; a transport of v's messages onto w's slots along `_args_ok` must
-    exist.  Membership is looked up in a `_Box` built once over every count
-    a candidate of the supertype can reach, and answers are memoized per
-    vector."""
+    image; a transport of v's messages onto w's slots along the call's
+    candidate slots must exist.  Membership is looked up in a `_Box` built
+    once over every count a candidate of the supertype can reach, and
+    answers are memoized per vector."""
 
     def __init__(
         self,
@@ -541,27 +502,41 @@ class _Matcher:
         t_comps: list[LinearSet],
         s_comps: list[LinearSet],
         alphabet: Alphabet,
+        candidates: list[list[int] | None],
     ):
         self.engine = engine
         self.alphabet = alphabet
-        tags = sorted({slot.tag for slot in alphabet})
-        tag_of = [tags.index(slot.tag) for slot in alphabet]
+        self.candidates = candidates
         # The box bounds each slot by the most messages of its tag that a
         # candidate (base plus at most `bound` periods) can carry.
-        top = [0] * len(tags)
-        for c in s_comps:
-            grow = [0] * len(tags)
-            for p in c.periods:
-                grow = list(map(max, grow, _tag_counts(p, tag_of, len(tags))))
-            base = _tag_counts(c.base, tag_of, len(tags))
-            top = [max(a, b + engine.bound * g) for a, b, g in zip(top, base, grow)]
-        self.box = _Box(t_comps, [top[g] for g in tag_of])
-        slots: list[list[int]] = [[] for _ in tags]
-        for i, g in enumerate(tag_of):
-            slots[g].append(i)
-        # A tag with one slot can split its count only as v does.
-        self.split_tags = [s for s in slots if len(s) > 1]
+        tag_slots = _tag_slots(alphabet).values()
+        hi = [0] * len(alphabet)
+        for slots in tag_slots:
+            top = max(
+                sum(c.base[i] for i in slots)
+                + engine.bound
+                * max((sum(p[i] for i in slots) for p in c.periods), default=0)
+                for c in s_comps
+            )
+            for i in slots:
+                hi[i] = top
+        self.box = _Box(t_comps, hi)
+        # A tag with one slot can split its count only as v does, and a slot
+        # always fits itself, so only tags with several slots need transport.
+        self.split_tags = [s for s in tag_slots if len(s) > 1]
         self.memo: dict[int, bool] = {}
+
+    def missing(self, comp: LinearSet) -> Config | None:
+        """A configuration of comp with at most `bound` periods added that
+        no vector matches, or None."""
+        periods = sorted(p for p in comp.periods if any(p))
+        for coeffs in _bounded_coeffs(len(periods), self.engine.bound):
+            v = comp.base
+            for p, k in zip(periods, coeffs):
+                v = _scale_add(v, p, k)
+            if not self.matches(v):
+                return tuple(m for k, m in zip(v, self.alphabet) for _ in range(k))
+        return None
 
     def matches(self, v: Vector) -> bool:
         key = self.box.index(v)
@@ -569,13 +544,24 @@ class _Matcher:
         if hit is None:
             # v itself needs no transport: every message keeps its slot.
             hit = key in self.box or any(
-                w != v
-                and self.box.index(w) in self.box
-                and self.engine._transport_ok(v, w, self.alphabet)
+                w != v and self.box.index(w) in self.box and self._transport_ok(v, w)
                 for w in self._splits(v)
             )
             self.memo[key] = hit
         return hit
+
+    def _transport_ok(self, v: Vector, w: Vector) -> bool:
+        """Whether v's messages can move onto w's slots, each to one of its
+        candidates."""
+        for slots in self.split_tags:
+            sup = [i for i in slots if v[i]]
+            sub = [j for j in slots if w[j]]
+            rows = [self.engine._fits(i, self.alphabet, self.candidates) for i in sup]
+            allowed = [[j in row for j in sub] for row in rows]
+            supply = [v[i] for i in sup]
+            if not _transport_exists(supply, [w[j] for j in sub], allowed):
+                return False
+        return True
 
     def _splits(self, v: Vector) -> Iterable[Vector]:
         """Every vector with v's count for each tag."""
@@ -613,9 +599,7 @@ def live(alg: TypeAlgebra, t: TypeExpr, patterns: Iterable[TagMultiset]) -> bool
     if not relevant_slots:
         return True
     pats = [dict(p) for p in patterns]
-    tag_slots: dict[str, list[int]] = {}
-    for i, slot in enumerate(alphabet):
-        tag_slots.setdefault(slot.tag, []).append(i)
+    tag_slots = _tag_slots(alphabet)
 
     # For each pattern B we pick one tag on which the configuration falls
     # short (count <= B(tag) - 1); a pattern tag absent from the alphabet
@@ -684,9 +668,7 @@ def arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerd
 def _arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerdict:
     alphabet = joint_alphabet(alg, t)
     n = len(alphabet)
-    tag_slots: dict[str, list[int]] = {}
-    for i, slot in enumerate(alphabet):
-        tag_slots.setdefault(slot.tag, []).append(i)
+    tag_slots = _tag_slots(alphabet)
     if any(tag not in tag_slots for tag in tags):
         return DEAD
 

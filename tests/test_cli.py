@@ -283,6 +283,23 @@ class TestRun:
             ),
             ("new o : 1 + A(#Number) [ A(n) |> n!B ] in o!A(1)", False),
             ("new o : *M(#Number) [ M(x) |> System!Print(x) ] in o!M", False),
+            # Pow outside its domain, and objects passed to builtins as
+            # numbers.
+            (
+                "new o : *Reply(#Number) [ Reply(x) |> System!Print(x) ]"
+                " in Number!Pow(-8, 0.5, o)",
+                True,
+            ),
+            (
+                "new o : *Reply(#Number) [ Reply(x) |> System!Print(x) ]"
+                " in Number!Pow(o, 2, o)",
+                False,
+            ),
+            (
+                "new o : *Reply(#Number) [ Reply(x) |> System!Print(x) ]"
+                " in System!Print(o)",
+                False,
+            ),
         ],
     )
     def test_runtime_fault_exit_code(self, tmp_path, capsys, src, typecheck):

@@ -402,6 +402,20 @@ class TestRuntimeFaults:
         )
         assert result.outputs == []
 
+    @pytest.mark.parametrize("call,fault", [
+        ("Number!Pow(-8, 0.5, o)", "ValueError: math domain error"),
+        # The checker rejects these two; run_source does not check.
+        ("Number!Pow(o, 2, o)", "Number!Pow takes numbers, not o@1"),
+        ("System!Print(o)", "System!Print takes numbers, not o@1"),
+    ], ids=["pow-domain", "pow-object", "print-object"])
+    def test_bad_builtin_argument(self, call, fault):
+        result = run_source(
+            "new o : *Reply(#Number) [ Reply(x) |> System!Print(x) ] in " + call
+        )
+        assert result.verdict == "RuntimeFault"
+        assert result.violation.endswith(fault)
+        assert result.outputs == []
+
     def test_unread_parameter_of_a_short_message(self):
         # With nothing reading y, the run goes on.
         result = run_source(

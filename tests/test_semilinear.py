@@ -278,17 +278,22 @@ class TestMembershipTable:
     @pytest.mark.parametrize("seed", range(40))
     def test_matcher_agrees_with_brute_force(self, seed):
         # M has three slots, so a match may put v's M messages on other
-        # slots, and whether it may is decided by transport.
+        # slots; the expectation pairs messages off by the oracle.
         a, b = msg("A"), msg("B")
+        alg = TypeAlgebra()
         alphabet = joint_alphabet(
-            TypeAlgebra(), msg("M", a), msg("M", b), msg("M", Sum((a, b))), C
+            alg, msg("M", a), msg("M", b), msg("M", Sum((a, b))), C
         )
         tag_of = [slot.tag for slot in alphabet]
+
+        def config(v):
+            return tuple(m for k, m in zip(v, alphabet) for _ in range(k))
+
         engine = SubtypeEngine(TypeAlgebra(), bound=2)
         rng = random.Random(seed)
         t_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 3))]
         s_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 2))]
-        matcher = _Matcher(engine, t_comps, s_comps, alphabet)
+        matcher = _Matcher(engine, t_comps, s_comps, alphabet, [None] * 4)
         for v in candidates(s_comps, engine.bound):
             counts = {tag: 0 for tag in tag_of}
             for x, tag in zip(v, tag_of):
@@ -302,7 +307,7 @@ class TestMembershipTable:
                 )
             ]
             expect = any(
-                member(w, t_comps) and engine._transport_ok(v, w, alphabet)
+                member(w, t_comps) and config_le(alg, config(v), config(w))
                 for w in same_tags
             )
             assert matcher.matches(v) == expect, (t_comps, v)
@@ -323,6 +328,49 @@ class TestMembershipTable:
         assert not oracle_subtype(alg, Prod((wide, wide)), narrow, size=6)
         assert _transport_exists([2], [1, 1], [[True, True]])
         assert not _transport_exists([1, 1], [2], [[False], [True]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_transport_agrees_with_placement(self, seed):
+        """The supply-demand test against trying every placement."""
+
+        def placeable(supply, demand, allowed):
+            # Each row's units spread over its allowed columns in every way.
+            ways = [
+                [
+                    split
+                    for split in itertools.product(
+                        *(range(k + 1) if ok else (0,) for ok in row)
+                    )
+                    if sum(split) == k
+                ]
+                for k, row in zip(supply, allowed)
+            ]
+            return any(
+                [sum(col) for col in zip(*rows)] == demand
+                for rows in itertools.product(*ways)
+            )
+
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(50):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            supply = [rng.randint(0, 3) for _ in range(rows)]
+            demand = [0] * cols
+            if rng.random() < 0.8:
+                # Same total, most of the time, or the answer is trivial.
+                for _ in range(sum(supply)):
+                    demand[rng.randrange(cols)] += 1
+            else:
+                demand = [rng.randint(0, 3) for _ in range(cols)]
+            allowed = [[rng.random() < 0.6 for _ in range(cols)] for _ in range(rows)]
+            expect = placeable(supply, demand, allowed)
+            assert _transport_exists(supply, demand, allowed) == expect, (
+                supply,
+                demand,
+                allowed,
+            )
+            outcomes.add(expect)
+        assert outcomes == {True, False}
 
 
 def reference_fast_include(engine, comp, t_comps, alphabet):
@@ -555,6 +603,19 @@ def test_law_battery_fingerprint():
     )
 
 
+def random_term(rng, atoms, depth=2):
+    """A sum, product or star of the given atoms, at most depth deep."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    parts = [random_term(rng, atoms, depth - 1) for _ in range(2)]
+    roll = rng.random()
+    if roll < 0.4:
+        return Sum(parts)
+    if roll < 0.8:
+        return Prod(parts)
+    return Star(parts[0])
+
+
 class TestMixedArities:
     """One tag with slots of several arities, which `random_type` never
     draws: M, M(#Number) and M(A) are three slots of M."""
@@ -562,30 +623,18 @@ class TestMixedArities:
     ATOMS = (M, msg("M", NUMBER), msg("M", A), A, B)
 
     @classmethod
-    def mixed_type(cls, rng, depth=2):
-        if depth <= 0 or rng.random() < 0.3:
-            return rng.choice(cls.ATOMS)
-        parts = [cls.mixed_type(rng, depth - 1) for _ in range(2)]
-        roll = rng.random()
-        if roll < 0.4:
-            return Sum(parts)
-        if roll < 0.8:
-            return Prod(parts)
-        return Star(parts[0])
-
-    @classmethod
     def pair(cls, rng):
         """A supertype s and a subtype candidate t, built from s most of
         the time so that about half the pairs hold."""
-        s = cls.mixed_type(rng)
+        s = random_term(rng, cls.ATOMS)
         roll = rng.random()
         if roll < 0.4:
-            return cls.mixed_type(rng), s
+            return random_term(rng, cls.ATOMS), s
         if roll < 0.7:
-            return Sum((s, cls.mixed_type(rng, 1))), s
+            return Sum((s, random_term(rng, cls.ATOMS, 1))), s
         if roll < 0.85:
             return Star(s), s
-        return Prod((s, Star(cls.mixed_type(rng, 1)))), s
+        return Prod((s, Star(random_term(rng, cls.ATOMS, 1)))), s
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_oracle(self, seed):
@@ -608,6 +657,44 @@ class TestMixedArities:
                     if len(c) == len(cex)
                 ), (t, s, cex)
         assert {"yes", "no"} <= kinds
+
+
+class TestTransportEndToEnd:
+    """Pairs in which only transport can match: the supertype carries
+    M(A + B), the subtype M(A) and M(B), so a configuration of the
+    supertype may need its M messages spread over both subtype slots,
+    which no single slot map does."""
+
+    SUB = (msg("M", A), msg("M", B), A)
+    SUP = (msg("M", Sum((A, B))), msg("M", A), A)
+
+    def test_agrees_with_oracle(self, monkeypatch):
+        outcomes = []
+        transport_ok = _Matcher._transport_ok
+
+        def counted(matcher, v, w):
+            outcomes.append(transport_ok(matcher, v, w))
+            return outcomes[-1]
+
+        monkeypatch.setattr(_Matcher, "_transport_ok", counted)
+        alg = TypeAlgebra()
+        for seed in range(3):
+            rng = random.Random(seed)
+            for _ in range(500):
+                t = random_term(rng, self.SUB)
+                s = random_term(rng, self.SUP)
+                verdict = SubtypeEngine(alg).subtype(t, s)
+                if verdict.kind == "yes":
+                    assert oracle_subtype(alg, t, s, size=5), (t, s)
+                elif verdict.kind == "no":
+                    cex = verdict.counterexample
+                    assert cex in alg.enumerate_configs(s, len(cex))
+                    assert not any(
+                        config_le(alg, cex, c)
+                        for c in alg.enumerate_configs(t, len(cex))
+                        if len(c) == len(cex)
+                    ), (t, s, cex)
+        assert set(outcomes) == {True, False}
 
 
 class TestDerivativeFacts:

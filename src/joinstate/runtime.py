@@ -29,8 +29,8 @@ somebody is waiting forever.  Otherwise, with monitors on, every residual
 must be nullable: a mailbox holding only part of a configuration of its
 protocol means a message was sent too many or too few times.  Arithmetic
 faults, `Pow` outside its domain, objects passed to a builtin as numbers,
-sends to methods the builtin objects lack and reads of parameters a
-message was too short to bind end the run as a RuntimeFault.
+sends to methods the builtin objects lack and a message taken by a pattern
+of another arity end the run as a RuntimeFault.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ class ObjId:
 
     def __hash__(self):
         return self.serial
+
+    def __deepcopy__(self, memo):
+        # Immutable, and call_builtin tests SYSTEM_ID and NUMBER_ID by
+        # identity, so an id is its own copy.
+        return self
 
     def __repr__(self):
         return f"{self.text}@{self.serial}"
@@ -165,6 +170,13 @@ def _numbers(target: ObjId, tag: str, values: tuple[Value, ...]):
             raise RuntimeError_(f"{target.text}!{tag} takes numbers, not {v!r}")
 
 
+def _arity_fault(tag: str, args: tuple, params: list) -> RuntimeError_:
+    # Only an unchecked program sends a message its pattern does not fit.
+    return RuntimeError_(
+        f"message {tag}/{len(args)} taken by a pattern {tag}/{len(params)}"
+    )
+
+
 # What a well-formed program can still raise while it runs: `/` or `%` by
 # zero and `Pow` outside its domain (math.fmod and math.pow raise
 # ValueError), overflow, and sends to methods the builtin objects lack.
@@ -203,8 +215,6 @@ class Soup:
         # protocol then.
         self._unchecked: Optional[dict[Instance, None]] = None
         self._misfits: set[Instance] = set()
-        # Parameter uid -> the fault of reading it unbound (see short).
-        self._unbound: dict[int, str] = {}
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
@@ -359,8 +369,8 @@ class Soup:
                     msg, copies = next(islice(msgs.items(), j, None))
                 else:
                     msg, copies = next(iter(msgs.items()))
-                if len(msg[1]) < len(params):
-                    self.short(tag, msg[1], params)
+                if len(msg[1]) != len(params):
+                    raise _arity_fault(tag, msg[1], params)
                 env.update(zip(params, msg[1]))
                 if tracing:
                     consumed.append(msg)
@@ -386,8 +396,8 @@ class Soup:
                     _regroup(picks[tag], copies, copies - n)
                     group += [msg] * n
                 for uids, msg in zip(params, group):
-                    if len(msg[1]) < len(uids):
-                        self.short(tag, msg[1], uids)
+                    if len(msg[1]) != len(uids):
+                        raise _arity_fault(tag, msg[1], uids)
                     env.update(zip(uids, msg[1]))
                 consumed += group
                 if msgs:
@@ -416,20 +426,8 @@ class Soup:
         when the soup has quiesced."""
         if not self._enabled.total:
             return False
-        try:
-            self.fire(self.rng.randrange(self._enabled.total))
-        except KeyError as exc:
-            # Only a parameter that short() noted can be missing from an env.
-            if exc.args[0] not in self._unbound:
-                raise
-            raise RuntimeError_(self._unbound[exc.args[0]]) from None
+        self.fire(self.rng.randrange(self._enabled.total))
         return True
-
-    def short(self, tag: str, args: tuple, params: list):
-        """Note the parameters that a message with fewer arguments than its
-        pattern leaves unbound (only an unchecked program sends one)."""
-        fault = f"message {tag}/{len(args)} taken by a pattern {tag}/{len(params)}"
-        self._unbound.update(dict.fromkeys(params[len(args):], fault))
 
     # --- end states ---------------------------------------------------------
 

@@ -12,6 +12,10 @@ periods; when some checked component has periods, or an argument check
 answered YesBounded, the answer is YesBounded, which callers may treat as
 success with a recorded caveat.
 
+One containment test serves the whole module: (b, P) lies in (a, Q) when
+P is among Q and b - a is a sum of Q's periods (`_lies_in`, by a memoized
+cone walk, `_in_cone`).  With P empty that is exact membership of b.
+
 Each `_subtype` call keeps one table of candidate slots, row i the slots
 whose arguments fit slot i's, filled on first use (`SubtypeEngine._fits`):
 the fast path takes its slot maps from it and the bounded check its
@@ -20,25 +24,22 @@ transports.
 The fast path embeds a whole supertype component (b, P) into one subtype
 component through a slot map that sends each slot to a candidate: the
 identity first, then each other map, applied once to b and P.  A target
-(a, Q) takes the image when the mapped periods are among Q and the mapped
-base minus a is a sum of Q's periods (`_lies_in`).  The sums reachable
+takes the image when it contains it by `_lies_in`.  The sums reachable
 from each period set are memoized on the engine and live as long as it.
 
-Each of the bounded checks is a table lookup.  One `_subtype` call builds
-a bitset of the subtype's Parikh image over the box of counts the checked
-vectors can reach: one cone of period sums per distinct period set, shifted
-by each base that has it (`_Box`).  A vector v matches when it, or another
-split w of its tag counts over the slots of a tag, is in the bitset and v's
-messages can move onto w's slots, each to a candidate (`_Matcher`): by the
-supply-demand theorem (Gale 1957), when no set of v's slots holds more
-messages than w has on the slots they may use (`_transport_exists`).  The
-table takes one bit per point of the box; criterion 8's largest has 10,368.
+Each bounded check is a membership question.  A vector v matches when it,
+or another split w of its tag counts over the slots of a tag, lies in some
+subtype component and v's messages can move onto w's slots, each to a
+candidate (`_Matcher`): by the supply-demand theorem (Gale 1957), when no
+set of v's slots holds more messages than w has on the slots they may use
+(`_transport_exists`).  Memberships share the fast path's cone memo.
 
 Sums, products and stars prune components as they build them (`_prune`):
 a component goes when another contains it by the same test.  There the
 sums are memoized for one `_prune` call, so many component pairs share one
-walk of a cone.  A star whose body has no periods takes its image in one
-step: zero base, the body's bases as periods.
+walk of a cone.  A star takes one rule (`_star`): each body component
+without periods lends its base as a period to every component, and each
+subset of the components with periods, taken at least once, gives one.
 """
 
 from __future__ import annotations
@@ -203,32 +204,27 @@ def _parikh(alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet) -> list[LinearSet
 
 
 def _star(body: list[LinearSet], n: int) -> list[LinearSet]:
-    """The Parikh image of a star, from its body's (pruned: no component
-    contains another) over n slots."""
-    if all(not comp.periods for comp in body):
-        # Any number of copies of each base, including zero: one component,
-        # which holds every other subset's.
-        bases = frozenset(comp.base for comp in body if any(comp.base))
-        return [LinearSet(_zero(n), bases)]
-    out = [LinearSet(_zero(n), frozenset())]
-    for subset in itertools.chain.from_iterable(
-        itertools.combinations(body, r) for r in range(1, len(body) + 1)
-    ):
-        if all(not comp.periods for comp in subset):
-            # Pure bases: any number of copies of each, including zero,
-            # so the whole subset collapses to periods over origin.
-            periods = {comp.base for comp in subset if any(comp.base)}
-            out.append(LinearSet(_zero(n), frozenset(periods)))
-            continue
-        base = _zero(n)
-        periods = set()
-        for comp in subset:
-            base = _add(base, comp.base)
-            periods |= comp.periods
-            if any(comp.base):
-                periods.add(comp.base)
-        out.append(LinearSet(base, frozenset(periods)))
-    return _prune(out)
+    """The Parikh image of a star over n slots, from its body's image.
+
+    A body component without periods may be taken any number of times, zero
+    included, so its base is a period of every component.  A component with
+    periods adds its periods only once taken, so each subset of those is
+    taken at least once: one component per subset, 2^|periodic| in all."""
+    free = frozenset(c.base for c in body if not c.periods and any(c.base))
+    periodic = [c for c in body if c.periods]
+    out = [LinearSet(_zero(n), free)]
+    for r in range(1, len(periodic) + 1):
+        for subset in itertools.combinations(periodic, r):
+            base = _zero(n)
+            periods = set(free)
+            for comp in subset:
+                base = _add(base, comp.base)
+                periods |= comp.periods
+                if any(comp.base):
+                    periods.add(comp.base)
+            out.append(LinearSet(base, frozenset(periods)))
+    # Without periodic components there is one component, nothing to prune.
+    return _prune(out) if periodic else out
 
 
 # --- subtyping -------------------------------------------------------------
@@ -360,7 +356,7 @@ class SubtypeEngine:
             if self._fast_include(comp, t_comps, alphabet, candidates):
                 continue
             if matcher is None:
-                matcher = _Matcher(self, t_comps, s_comps, alphabet, candidates)
+                matcher = _Matcher(self, t_comps, alphabet, candidates)
             missing = matcher.missing(comp)
             if missing is not None:
                 return Verdict("no", counterexample=missing)
@@ -432,99 +428,30 @@ def _bounded_coeffs(n: int, total: int) -> Iterable[tuple[int, ...]]:
             yield (head,) + rest
 
 
-class _Box:
-    """Membership in a union of linear sets, for vectors inside the box
-    0 <= x <= hi, as one bitset indexed in mixed radix.
-
-    Components are grouped by period set.  A group's cone holds every sum of
-    its periods that fits in the box; a component (b, P) adds the cone of P
-    shifted by b.  Sums only grow, so the cone cut to the box is exact."""
-
-    def __init__(self, comps: Iterable[LinearSet], hi: Sequence[int]):
-        self.hi = hi
-        self.strides = [0] * len(hi)
-        size = 1
-        for j in reversed(range(len(hi))):
-            self.strides[j] = size
-            size *= hi[j] + 1
-        groups: dict[frozenset[Vector], list[Vector]] = {}
-        for c in comps:
-            groups.setdefault(c.periods, []).append(c.base)
-        bits = 0
-        for periods, bases in groups.items():
-            cone = self._cone(periods)
-            for b in bases:
-                bits |= (cone & self._room(b)) << self.index(b)
-        self._bits = bits.to_bytes((size + 7) // 8, "little")
-
-    def index(self, v: Vector) -> int:
-        return sum(x * s for x, s in zip(v, self.strides))
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self._bits[idx >> 3] >> (idx & 7) & 1)
-
-    def _room(self, v: Vector) -> int:
-        """The points x of the box with x + v still inside it."""
-        mask = 1
-        for h, x, s in zip(reversed(self.hi), reversed(v), reversed(self.strides)):
-            if x > h:
-                return 0
-            mask = sum(mask << (k * s) for k in range(h - x + 1))
-        return mask
-
-    def _cone(self, periods: Iterable[Vector]) -> int:
-        cone = 1
-        for p in periods:
-            if not any(p):
-                continue
-            # Adding p, 2p, 4p, ... in turn reaches every multiple of p
-            # that fits.
-            step = p
-            while all(x <= h for x, h in zip(step, self.hi)):
-                cone |= (cone & self._room(step)) << self.index(step)
-                step = _add(step, step)
-        return cone
-
-
 class _Matcher:
     """Whether a supertype-side vector is matched by some vector of the
     subtype's components, for one `_subtype` call.
 
     A match w has v's count for every tag and lies in the subtype's Parikh
     image; a transport of v's messages onto w's slots along the call's
-    candidate slots must exist.  Membership is looked up in a `_Box` built
-    once over every count a candidate of the supertype can reach, and
-    answers are memoized per vector."""
+    candidate slots must exist.  Membership is `_lies_in` with no periods,
+    through the engine's cone memo; answers are memoized per vector."""
 
     def __init__(
         self,
         engine: SubtypeEngine,
         t_comps: list[LinearSet],
-        s_comps: list[LinearSet],
         alphabet: Alphabet,
         candidates: list[list[int] | None],
     ):
         self.engine = engine
+        self.t_comps = t_comps
         self.alphabet = alphabet
         self.candidates = candidates
-        # The box bounds each slot by the most messages of its tag that a
-        # candidate (base plus at most `bound` periods) can carry.
-        tag_slots = _tag_slots(alphabet).values()
-        hi = [0] * len(alphabet)
-        for slots in tag_slots:
-            top = max(
-                sum(c.base[i] for i in slots)
-                + engine.bound
-                * max((sum(p[i] for i in slots) for p in c.periods), default=0)
-                for c in s_comps
-            )
-            for i in slots:
-                hi[i] = top
-        self.box = _Box(t_comps, hi)
         # A tag with one slot can split its count only as v does, and a slot
         # always fits itself, so only tags with several slots need transport.
-        self.split_tags = [s for s in tag_slots if len(s) > 1]
-        self.memo: dict[int, bool] = {}
+        self.split_tags = [s for s in _tag_slots(alphabet).values() if len(s) > 1]
+        self.memo: dict[Vector, bool] = {}
 
     def missing(self, comp: LinearSet) -> Config | None:
         """A configuration of comp with at most `bound` periods added that
@@ -539,16 +466,21 @@ class _Matcher:
         return None
 
     def matches(self, v: Vector) -> bool:
-        key = self.box.index(v)
-        hit = self.memo.get(key)
+        hit = self.memo.get(v)
         if hit is None:
             # v itself needs no transport: every message keeps its slot.
-            hit = key in self.box or any(
-                w != v and self.box.index(w) in self.box and self._transport_ok(v, w)
+            hit = self._member(v) or any(
+                w != v and self._member(w) and self._transport_ok(v, w)
                 for w in self._splits(v)
             )
-            self.memo[key] = hit
+            self.memo[v] = hit
         return hit
+
+    def _member(self, v: Vector) -> bool:
+        """Whether v lies in the subtype's Parikh image."""
+        empty: frozenset[Vector] = frozenset()
+        cones = self.engine._cones
+        return any(_lies_in(v, empty, c, cones) for c in self.t_comps)
 
     def _transport_ok(self, v: Vector, w: Vector) -> bool:
         """Whether v's messages can move onto w's slots, each to one of its

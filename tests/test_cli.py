@@ -227,17 +227,12 @@ class TestRun:
         assert code == 4
 
     def test_monitor_violation_exit_code(self, tmp_path, capsys):
-        for src in (
-            "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B",
-            # An anonymous block past the slot's last argument.
-            "new o : M(#Number) [ M(n) |> done ] in o!M(1, [ R |> done ])",
-        ):
-            bad = tmp_path / "bad.cob"
-            bad.write_text(src)
-            assert main(["run", str(bad), "--no-typecheck"]) == 2, src
+        bad = tmp_path / "bad.cob"
+        bad.write_text("new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B")
+        assert main(["run", str(bad), "--no-typecheck"]) == 2
 
     # A pattern binding more arguments than A carries leaves its variables,
-    # z too, undeclared: the reply to z.Get is outside z's protocol 1.
+    # z too, undeclared; the run faults when the pattern takes A.
     ARITY_MISMATCHED_PATTERN = """
     type #G = Get(Reply(#Number))
     new o : 1 + A(#Number) . C(#G) [
@@ -255,12 +250,12 @@ class TestRun:
         bad.write_text(self.ARITY_MISMATCHED_PATTERN)
         assert main(["check", str(bad)]) == 1
         assert "AritySumError" in capsys.readouterr().err
-        assert main(["run", str(bad), "--no-typecheck", "--seed", seed]) == 2
+        assert main(["run", str(bad), "--no-typecheck", "--seed", seed]) == 5
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == (
-            "verdict: MonitorViolation (cont@3 holds messages [Reply] outside"
-            " its protocol 1) after 2 steps"
+            "verdict: RuntimeFault (RuntimeError_: message A/1 taken by a"
+            " pattern A/2) after 1 steps"
         )
 
     @pytest.mark.parametrize(
@@ -283,6 +278,8 @@ class TestRun:
             ),
             ("new o : 1 + A(#Number) [ A(n) |> n!B ] in o!A(1)", False),
             ("new o : *M(#Number) [ M(x) |> System!Print(x) ] in o!M", False),
+            # An anonymous block past the pattern's last argument.
+            ("new o : M(#Number) [ M(n) |> done ] in o!M(1, [ R |> done ])", False),
             # Pow outside its domain, and objects passed to builtins as
             # numbers.
             (
@@ -398,6 +395,14 @@ class TestExplain:
     def test_parikh_period_with_a_count_above_one(self, capsys):
         assert main(["explain", "--type", "*(A . A)", "--parikh"]) == 0
         assert "parikh: ⟨⟩ + N·(2·A)\n" in capsys.readouterr().out
+
+    def test_star_image_is_one_component(self, capsys):
+        # A, taken any number of times, is a period beside *B's.
+        assert main(["explain", "--type", "*(A + *B)", "--parikh"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("parikh:")] == [
+            "parikh: ⟨⟩ + N·(B) + N·(A)"
+        ]
 
     @pytest.mark.parametrize(
         "expr,message",

@@ -105,6 +105,22 @@ class TestDeterminism:
         seen = {tuple(run_source(self.SRC, seed=s).outputs) for s in range(12)}
         assert len(seen) > 1
 
+    @pytest.mark.parametrize(
+        "rel", ["future-class", "future-user", "pi", "sieve"]
+    )
+    def test_copied_soup_runs_as_the_original(self, rel):
+        # Copied mid-run, both go on to the same end from the same state.
+        soup = Soup(load_file(f"accepted/{rel}.cob"), seed=1)
+        for _ in range(2):
+            soup.step()
+        ends = []
+        for s in (soup, copy.deepcopy(soup)):
+            while s.violation is None and s.steps < 2000 and s.step():
+                pass
+            stuck = None if s.enabled_count() else [repr(o) for o in s.quiesce()]
+            ends.append((s.steps, s.outputs, s.violation, stuck))
+        assert ends[0] == ends[1]
+
 
 class TestUniformity:
     # Small soups with equal payloads, joins over several tags, several
@@ -417,12 +433,26 @@ class TestRuntimeFaults:
         assert result.outputs == []
 
     def test_unread_parameter_of_a_short_message(self):
-        # With nothing reading y, the run goes on.
+        # Nothing reads y, but the firing takes M with too few arguments.
         result = run_source(
             "new o : *M(#Number, #Number) [ M(x, y) |> System!Print(x) ]"
             " in o!M(1)"
         )
-        assert (result.verdict, result.outputs) == ("Terminated", [1.0])
+        assert result.verdict == "RuntimeFault"
+        assert result.violation == (
+            "RuntimeError_: message M/1 taken by a pattern M/2"
+        )
+        assert result.outputs == []
+
+    def test_extra_argument_is_not_dropped(self):
+        result = run_source(
+            "new o : *M(#Number) [ M(x) |> System!Print(x) ] in o!M(1, 2)"
+        )
+        assert result.verdict == "RuntimeFault"
+        assert result.violation == (
+            "RuntimeError_: message M/2 taken by a pattern M/1"
+        )
+        assert result.outputs == []
 
 
 class TestOperators:

@@ -31,7 +31,7 @@ from collections import Counter
 from .checker import Checker, check_program
 from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
-from .runtime import run
+from .runtime import _fmt, run
 from .semilinear import SubtypeEngine, joint_alphabet, live, parikh
 from .types import TypeAlgebra, TypeDeclError, render
 
@@ -187,7 +187,7 @@ def cmd_run(args) -> int:
         ))
     else:
         for value in result.outputs:
-            print(f"{value:g}")
+            print(_fmt(value))
         detail = ""
         if result.deadlocked:
             detail = f" ({', '.join(result.deadlocked)})"

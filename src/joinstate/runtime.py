@@ -17,20 +17,18 @@ polynomial truncated after x^k, so a delivery or a consumption updates
 the count in O(k) instead of recounting every payload; a firing decodes
 its pick from a copy of the same polynomial.
 
-Optional monitors track every object's declared type derived by the tags
-sitting in its mailbox.  A delivery derives the residual by one more tag.
-A consumption that empties the mailbox returns it to the declared type;
-otherwise the residual is cached by the declared type and the per-tag
-message counts that `deliver` and `fire` keep.  If the residual becomes
-unusable the program has broken its protocol and the run stops.  When no
-reaction is enabled the run has quiesced.  It is a deadlock if some
-leftover message still carries an argument the type marks as relevant, as
-somebody is waiting forever.  Otherwise, with monitors on, every residual
-must be nullable: a mailbox holding only part of a configuration of its
-protocol means a message was sent too many or too few times.  Arithmetic
-faults, `Pow` outside its domain, objects passed to a builtin as numbers,
-sends to methods the builtin objects lack and a message taken by a pattern
-of another arity end the run as a RuntimeFault.
+Optional monitors ask, of each object whose mailbox changed, whether the
+per-tag message counts that `deliver` and `fire` keep fit its declared
+type (`semilinear.fits`).  If not, the program has broken its protocol and
+the run stops.  When no reaction is enabled the run has quiesced.  It is a
+deadlock if some leftover message still carries an argument the type marks
+as relevant, as somebody is waiting forever.  Otherwise, with monitors on,
+the declared type derived by each mailbox's tags must be nullable: a
+mailbox holding only part of a configuration of its protocol means a
+message was sent too many or too few times.  Arithmetic faults, arithmetic
+on booleans, `Pow` outside its domain, objects passed to a builtin as
+numbers, sends to methods the builtin objects lack and a message taken by
+a pattern of another arity end the run as a RuntimeFault.
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ from .core import (
     Send,
     Var,
 )
+from .semilinear import fits, tag_caps
 from .types import TypeExpr
 
 Value = object  # float | bool | ObjId
@@ -104,6 +103,8 @@ class Instance:
     # order, so they zip with the messages in the order they are taken.
     rules: list[tuple[list[tuple[str, int, list]], ProcCode, str]]
     decl: TypeExpr
+    # The declared type's `tag_caps`, which the monitors test counts against.
+    caps: list[dict[str, float]]
     # Per rule, the number of distinct selections the mailbox allows.
     weights: list[int]
     # For each tag some rule takes k >= 2 copies of: the number of ways to
@@ -114,9 +115,6 @@ class Instance:
     mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
     # tag -> number of messages, copies counted; kept beside the mailbox.
     counts: dict[str, int] = field(default_factory=dict)
-    # The declared type derived by every tag in the mailbox (tracked only
-    # when monitors are on).
-    residual: Optional[TypeExpr] = None
 
     def tags(self) -> list[str]:
         """The mailbox's tags, one per message, sorted."""
@@ -156,6 +154,8 @@ class RunResult:
 def _fmt(v: Value) -> str:
     if isinstance(v, float):
         return f"{v:g}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
     return str(v)
 
 
@@ -164,7 +164,7 @@ class RuntimeError_(Exception):
 
 
 def _numbers(target: ObjId, tag: str, values: tuple[Value, ...]):
-    # Only an unchecked program passes an object; booleans print as numbers.
+    # Only an unchecked program passes an object; booleans print as such.
     for v in values:
         if isinstance(v, ObjId):
             raise RuntimeError_(f"{target.text}!{tag} takes numbers, not {v!r}")
@@ -207,9 +207,6 @@ class Soup:
         self._enabled = _Fenwick()
         # An ordered set, so monitors run in a seed-determined order.
         self._touched: dict[Instance, None] = {}
-        # (declared type, per-tag message counts) -> residual, for
-        # consumption.  Types are interned, so equal protocols share entries.
-        self._residuals: dict[tuple[TypeExpr, frozenset], TypeExpr] = {}
         # Objects created or touched since check_solution last ran (None
         # until its first call), and those whose mailbox did not fit their
         # protocol then.
@@ -238,13 +235,11 @@ class Soup:
         too."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
         env = {**env, node.name.uid: oid}
+        decl = self.decls[node.name]
         inst = Instance(
-            oid, node, env, rules, self.decls[node.name], [0] * len(rules),
+            oid, node, env, rules, decl, tag_caps(self.alg, decl), [0] * len(rules),
             {tag: [1] + [0] * k for tag, k in multi} if multi else None,
         )
-        if self.monitors:
-            # The mailbox is empty, so nothing has been derived yet.
-            inst.residual = inst.decl
         self.instances.append(inst)
         if self._unchecked is not None:
             self._unchecked[inst] = None
@@ -281,20 +276,7 @@ class Soup:
             inst.counts[tag] += 1
         if inst.picks and tag in inst.picks:
             _regroup(inst.picks[tag], copies - 1, copies)
-        if self.monitors:
-            inst.residual = self.alg.derivative(inst.residual, tag)
         self._touched[inst] = None
-
-    # --- monitors -----------------------------------------------------------
-
-    def residual(self, inst: Instance) -> TypeExpr:
-        """The declared type derived afresh by the mailbox's tags."""
-        key = (inst.decl, frozenset(inst.counts.items()))
-        out = self._residuals.get(key)
-        if out is None:
-            out = self.alg.derivative_config(inst.decl, inst.tags())
-            self._residuals[key] = out
-        return out
 
     # --- reactions ----------------------------------------------------------
 
@@ -317,7 +299,7 @@ class Soup:
             if delta:
                 self._enabled.add(inst.oid.serial, delta)
             if (self.monitors and self.violation is None
-                    and not self.alg.usable(inst.residual)):
+                    and not fits(inst.caps, inst.counts)):
                 self.violation = (
                     f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
                     f"outside its protocol {ty.render(inst.decl)}"
@@ -404,9 +386,6 @@ class Soup:
                     counts[tag] -= k
                 else:
                     del mailbox[tag], counts[tag]
-        if self.monitors:
-            # An emptied mailbox is back at the declared type.
-            inst.residual = self.residual(inst) if counts else inst.decl
         self._touched[inst] = None
 
         if tracing:
@@ -447,8 +426,8 @@ class Soup:
     def quiesce(self) -> list[ObjId]:
         """Judge a soup where no reaction is enabled: the stuck objects,
         each traced.  With none stuck and monitors on, the first mailbox
-        holding only part of a configuration of its protocol (a residual
-        that is not nullable) is a violation."""
+        holding only part of a configuration of its protocol (the declared
+        type derived by its tags is not nullable) is a violation."""
         stuck = self.stuck_objects()
         for oid in stuck:
             inst = self.instances[oid.serial - 1]
@@ -460,8 +439,9 @@ class Soup:
             )
         if stuck or not self.monitors:
             return stuck
+        alg = self.alg
         for inst in self.instances:
-            if not self.alg.nullable(inst.residual):
+            if not alg.nullable(alg.derivative_config(inst.decl, inst.tags())):
                 self.violation = (
                     f"{inst.oid!r} ends with messages "
                     f"[{','.join(inst.tags())}], short of a whole "
@@ -473,13 +453,13 @@ class Soup:
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
         re-typing invariant the scheduler is expected to preserve.  Only
-        objects created or touched since the last call are derived afresh
-        from their mailbox; the others keep their last answer.  Changes
-        are tracked only from the first call, which derives every object."""
+        objects created or touched since the last call are tested again;
+        the others keep their last answer.  Changes are tracked only from
+        the first call, which tests every object."""
         if self._unchecked is None:
             self._unchecked = dict.fromkeys(self.instances)
         for inst in self._unchecked:
-            if self.alg.usable(self.residual(inst)):
+            if fits(inst.caps, inst.counts):
                 self._misfits.discard(inst)
             else:
                 self._misfits.add(inst)
@@ -603,13 +583,16 @@ def _compile_expr(e: Expr) -> Callable[[Env], Value]:
         return lambda env: value
     if isinstance(e, BinOp):
         left, right = _compile_expr(e.left), _compile_expr(e.right)
-        op, apply = e.op, _BINOPS[e.op]
+        op, apply, arith = e.op, _BINOPS[e.op], e.op in ("+", "-", "*", "/", "%")
 
         def binop(env):
             a = left(env)
             b = right(env)
-            # Only an unchecked program gets here with an object operand.
+            # Only an unchecked program gets here with an object, or a bool
+            # in arithmetic (Python's bool is an int).
             try:
+                if arith and (a.__class__ is bool or b.__class__ is bool):
+                    raise TypeError
                 return apply(a, b)
             except TypeError:
                 raise RuntimeError_(

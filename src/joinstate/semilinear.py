@@ -3,7 +3,8 @@
 A type's configurations, projected to counts per message slot, form a
 semilinear set: a finite union of linear sets (base vector plus any natural
 combination of period vectors).  On that representation subtyping, liveness
-and argument determinacy become vector problems.
+and argument determinacy become vector problems, as does the monitors'
+test of a mailbox by its per-tag counts (`tag_caps`, `fits`).
 
 Subtyping is exact whenever it answers No or proves inclusion through the
 fast path; otherwise it checks every vector of the supertype with at most
@@ -45,6 +46,7 @@ subset of the components with periods, taken at least once, gives one.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -225,6 +227,36 @@ def _star(body: list[LinearSet], n: int) -> list[LinearSet]:
             out.append(LinearSet(base, frozenset(periods)))
     # Without periodic components there is one component, nothing to prune.
     return _prune(out) if periodic else out
+
+
+def tag_caps(alg: TypeAlgebra, t: TypeExpr) -> list[dict[str, float]]:
+    """Per component of t's Parikh image, the most messages of each tag one
+    configuration holds: the base's count over the tag's slots, or infinity
+    when a period adds the tag.  Memoized on alg and shared: read-only."""
+    caps = alg.caps_memo.get(t)
+    if caps is None:
+        alphabet = joint_alphabet(alg, t)
+        caps = alg.caps_memo[t] = []
+        for comp in parikh(alg, t, alphabet):
+            cap: dict[str, float] = {}
+            for i, slot in enumerate(alphabet):
+                n = math.inf if any(p[i] for p in comp.periods) else comp.base[i]
+                cap[slot.tag] = cap.get(slot.tag, 0) + n
+            caps.append(cap)
+    return caps
+
+
+def fits(caps: list[dict[str, float]], counts: Mapping[str, int]) -> bool:
+    """Whether some component's caps cover the per-tag counts: whether a
+    mailbox holding them is part of a configuration, as a component's
+    periods are nonnegative and so reach all its caps at once."""
+    for cap in caps:
+        for tag in counts:
+            if cap.get(tag, 0) < counts[tag]:
+                break
+        else:
+            return True
+    return False
 
 
 # --- subtyping -------------------------------------------------------------

@@ -293,10 +293,12 @@ class TypeAlgebra:
         self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
         # Kept for `semilinear`: Parikh images by (term, alphabet), slot
-        # resolutions by (type, sorted tag counts), alphabets by type tuple.
+        # resolutions by (type, sorted tag counts), alphabets by type tuple,
+        # tag caps by type.
         self.parikh_memo: dict[tuple, list] = {}
         self.slots_memo: dict[tuple, object] = {}
         self.alphabet_memo: dict[tuple, tuple[Msg, ...]] = {}
+        self.caps_memo: dict[TypeExpr, list] = {}
 
     def unfold(self, t: TypeExpr) -> TypeExpr:
         while isinstance(t, Ref):

@@ -211,6 +211,18 @@ class TestRun:
             assert out.splitlines() == [total]
             assert err.splitlines() == ["verdict: Terminated after 1502 steps"]
 
+    def test_printed_boolean(self, tmp_path, capsys):
+        src = tmp_path / "bool.cob"
+        src.write_text("System!Print(7 = 7) & System!Print(1 < 0)")
+        trace = tmp_path / "trace.json"
+        assert main(["run", str(src), "--no-typecheck",
+                     "--trace-json", str(trace)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["true", "false"]
+        details = [e["detail"] for e in json.loads(trace.read_text())]
+        assert details == ["true", "false"]
+        assert main(["run", str(src), "--no-typecheck", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"] == [True, False]
+
     def test_rejected_program_refused(self, capsys):
         assert main(["run", path("rejected/self-dependency.cob")]) == 1
 

@@ -23,6 +23,8 @@ from joinstate.runtime import (
     _unrank_picks,
     run,
 )
+from joinstate.semilinear import fits
+from joinstate.types import TypeAlgebra
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 PI_DEPTH_3 = (PROGRAMS / "accepted" / "pi.cob").read_text().replace(
@@ -492,6 +494,12 @@ class TestOperators:
         ("1 % 0", "ValueError: math domain error"),
         ("a + 1", "RuntimeError_: cannot apply + to a@1 and 1"),
         ("1 < b", "RuntimeError_: cannot apply < to 1 and b@2"),
+        # Python's bool is an int, but arithmetic takes numbers only.
+        ("2 + (1 < 2)", "RuntimeError_: cannot apply + to 2 and true"),
+        ("(7 = 2) - 1", "RuntimeError_: cannot apply - to false and 1"),
+        ("true * true", "RuntimeError_: cannot apply * to true and true"),
+        ("1 / (2 = 2)", "RuntimeError_: cannot apply / to 1 and true"),
+        ("false % 2", "RuntimeError_: cannot apply % to false and 2"),
     ])
     def test_fault(self, expr, fault):
         result = run_source(self.OBJECTS + f"System!Print({expr})")
@@ -619,6 +627,56 @@ class TestMonitors:
         assert result.verdict == "MonitorViolation"
         assert "obj" in result.violation
 
+    # Every object at every step; the last, the breach of TestCheckSolution,
+    # gives a mailbox that does not fit.
+    FIT_SOURCES = TestUniformity.SOURCES + (
+        PI_DEPTH_3, "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B",
+    )
+
+    @pytest.mark.parametrize("index", range(len(FIT_SOURCES)))
+    def test_count_test_agrees_with_derivatives(self, index):
+        # The monitors test each mailbox's per-tag counts against its
+        # declared type's caps; the reference derives the type by the tags.
+        program = load_program(self.FIT_SOURCES[index])
+        answers = Counter()
+        for seed in range(2):
+            soup = Soup(program, seed=seed)
+            alg = soup.alg
+            while True:
+                for inst in soup.instances:
+                    expected = alg.usable(
+                        alg.derivative_config(inst.decl, inst.tags())
+                    )
+                    assert fits(inst.caps, inst.counts) == expected
+                    answers[expected] += 1
+                if soup.violation is not None or not soup.step():
+                    break
+        breach = index == len(self.FIT_SOURCES) - 1
+        assert answers[False] == (2 if breach else 0), answers
+
+    def test_draining_mailbox_derives_nothing(self, monkeypatch):
+        # Deriving the declared type by every message left after each
+        # consumption took 565,502 derivatives in this run; the count test
+        # derives nothing, and quiescence derives the leftover GO once.
+        calls = Counter()
+        derivative = TypeAlgebra.derivative
+
+        def counted(alg, t, a):
+            calls["derivative"] += 1
+            return derivative(alg, t, a)
+
+        monkeypatch.setattr(TypeAlgebra, "derivative", counted)
+        result = run_source(
+            "type #Sink = *A(#Number) . *GO and #Gen = *G(#Number, #Sink)"
+            " new o : #Sink [ A(x) & A(y) & GO |> System!Print(x + y) & o!GO ]"
+            " in new gen : #Gen [ G(n, s) |> if n = 0 then s!GO"
+            " else s!A(n) & gen!G(n - 1, s) ] in gen!G(1500, o)",
+            seed=1,
+        )
+        assert result.verdict == "Terminated"
+        assert (result.steps, len(result.outputs)) == (2251, 750)
+        assert calls["derivative"] <= 5
+
     def test_monitors_can_be_disabled(self):
         result = run_source(
             "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B",
@@ -717,7 +775,8 @@ class TestCheckSolution:
             while soup.steps < steps and soup.step():
                 pass
             expected = all(
-                soup.alg.usable(soup.residual(inst)) for inst in soup.instances
+                soup.alg.usable(soup.alg.derivative_config(inst.decl, inst.tags()))
+                for inst in soup.instances
             )
             assert soup.check_solution() == expected
             answers.add(expected)
@@ -727,16 +786,15 @@ class TestCheckSolution:
         # Rechecking every object after every step made a run quadratic in
         # the objects it creates: 739,960 derivations for these 2,000 steps.
         calls = Counter()
-        residual = Soup.residual
 
-        def counted(soup, inst):
-            calls["residual"] += 1
-            return residual(soup, inst)
+        def counted(caps, counts):
+            calls["fits"] += 1
+            return fits(caps, counts)
 
-        monkeypatch.setattr(Soup, "residual", counted)
+        monkeypatch.setattr("joinstate.runtime.fits", counted)
         result = run(
             load_file("accepted/sieve.cob"), seed=0, max_steps=2000,
             check_solution=True,
         )
         assert result.steps == 2000 and not result.invariant_failed
-        assert calls["residual"] <= 10 * result.steps
+        assert calls["fits"] <= 10 * result.steps

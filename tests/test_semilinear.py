@@ -27,9 +27,11 @@ from joinstate.semilinear import (
     _star,
     _transport_exists,
     arg_determinate,
+    fits,
     joint_alphabet,
     live,
     parikh,
+    tag_caps,
 )
 from joinstate.types import (
     NUMBER,
@@ -784,6 +786,44 @@ class TestDerivativeFacts:
     def test_future_after_resolved_is_irrelevant(self):
         t = self.alg.derivative(Ref("#FutureT"), "RESOLVED")
         assert self.alg.nullable(t)
+
+
+class TestTagCaps:
+    """`fits` over a type's `tag_caps` is the monitors' test: whether the
+    type derived by a mailbox's tags is usable."""
+
+    ATOMS = (M, msg("M", NUMBER), msg("M", A), A, B)
+    # Z is in no type; N only as a message with an argument.
+    TAGS = ("A", "B", "C", "D", "M", "N", "Z")
+
+    @classmethod
+    def random_type(cls, rng):
+        roll = rng.random()
+        if roll < 0.5:
+            return random_type(rng)
+        mixed = random_term(rng, cls.ATOMS)
+        if roll < 0.7:
+            return mixed
+        return (Sum if roll < 0.85 else Prod)((random_type(rng), mixed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_derivatives(self, seed):
+        rng = random.Random(seed)
+        alg = TypeAlgebra()
+        answers = set()
+        for _ in range(900):
+            t = self.random_type(rng)
+            caps = tag_caps(alg, t)
+            for _ in range(10):
+                counts = {
+                    tag: rng.randint(1, 3)
+                    for tag in rng.sample(self.TAGS, rng.randint(0, 3))
+                }
+                tags = [tag for tag, n in counts.items() for _ in range(n)]
+                expected = alg.usable(alg.derivative_config(t, tags))
+                assert fits(caps, counts) == expected, (t, counts)
+                answers.add(expected)
+        assert answers == {True, False}
 
 
 class TestLive:

@@ -175,9 +175,10 @@ def _random_msg(rng: random.Random, arg_depth: int) -> Msg:
 
 
 def random_patterns(rng: random.Random) -> list[dict[str, int]]:
+    """Join patterns over the plain tags and the argument-carrying ones."""
     out = []
     for _ in range(rng.randint(1, 3)):
-        tags = rng.sample(TAGS, rng.randint(1, 2))
+        tags = rng.sample(TAGS + ARG_TAGS, rng.randint(1, 2))
         out.append({tag: rng.randint(1, 2) for tag in tags})
     return out
 

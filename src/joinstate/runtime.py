@@ -21,14 +21,15 @@ Optional monitors ask, of each object whose mailbox changed, whether the
 per-tag message counts that `deliver` and `fire` keep fit its declared
 type (`semilinear.fits`).  If not, the program has broken its protocol and
 the run stops.  When no reaction is enabled the run has quiesced.  It is a
-deadlock if some leftover message still carries an argument the type marks
-as relevant, as somebody is waiting forever.  Otherwise, with monitors on,
-the declared type derived by each mailbox's tags must be nullable: a
-mailbox holding only part of a configuration of its protocol means a
-message was sent too many or too few times.  Arithmetic faults, arithmetic
-on booleans, `Pow` outside its domain, objects passed to a builtin as
-numbers, sends to methods the builtin objects lack and a message taken by
-a pattern of another arity end the run as a RuntimeFault.
+deadlock if some leftover message has the tag and arity of a slot whose
+argument the type marks as relevant, as somebody is waiting forever.
+Otherwise, with monitors on, the declared type derived by each mailbox's
+tags must be nullable: a mailbox holding only part of a configuration of
+its protocol means a message was sent too many or too few times.
+Arithmetic faults, arithmetic on booleans, `Pow` outside its domain,
+objects passed to a builtin as numbers, sends to methods the builtin
+objects lack and a message taken by a pattern of another arity end the run
+as a RuntimeFault.
 """
 
 from __future__ import annotations
@@ -207,11 +208,9 @@ class Soup:
         self._enabled = _Fenwick()
         # An ordered set, so monitors run in a seed-determined order.
         self._touched: dict[Instance, None] = {}
-        # Objects created or touched since check_solution last ran (None
-        # until its first call), and those whose mailbox did not fit their
-        # protocol then.
-        self._unchecked: Optional[dict[Instance, None]] = None
-        self._misfits: set[Instance] = set()
+        # Objects whose mailbox does not fit their protocol, kept by spawn
+        # and settle from the first check_solution call on (None before).
+        self._misfits: Optional[set[Instance]] = None
         _compile(program.process)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
@@ -241,8 +240,8 @@ class Soup:
             {tag: [1] + [0] * k for tag, k in multi} if multi else None,
         )
         self.instances.append(inst)
-        if self._unchecked is not None:
-            self._unchecked[inst] = None
+        if self._misfits is not None and not fits(inst.caps, inst.counts):
+            self._misfits.add(inst)
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:
             self.emit("new", repr(oid), "", ty.render(inst.decl))
@@ -281,7 +280,9 @@ class Soup:
     # --- reactions ----------------------------------------------------------
 
     def settle(self):
-        """Re-weigh the objects whose mailbox changed and run monitors."""
+        """Re-weigh the objects whose mailbox changed, and run monitors and
+        the check_solution test on them: one `fits` call each."""
+        misfits = self._misfits
         for inst in self._touched:
             mailbox, picks, weights = inst.mailbox, inst.picks, inst.weights
             delta = 0
@@ -298,14 +299,17 @@ class Soup:
                     weights[i] = w
             if delta:
                 self._enabled.add(inst.oid.serial, delta)
-            if (self.monitors and self.violation is None
-                    and not fits(inst.caps, inst.counts)):
+            if (misfits is None and not self.monitors) or fits(inst.caps, inst.counts):
+                if misfits:
+                    misfits.discard(inst)
+                continue
+            if misfits is not None:
+                misfits.add(inst)
+            if self.monitors and self.violation is None:
                 self.violation = (
                     f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
                     f"outside its protocol {ty.render(inst.decl)}"
                 )
-        if self._unchecked is not None:
-            self._unchecked.update(self._touched)
         self._touched.clear()
 
     def enabled_count(self) -> int:
@@ -411,13 +415,15 @@ class Soup:
     # --- end states ---------------------------------------------------------
 
     def stuck_objects(self) -> list[ObjId]:
-        """Objects whose leftover messages carry arguments somebody still
-        relies on; nonempty at quiescence means deadlock."""
+        """Objects whose leftover messages, by tag and arity, carry
+        arguments somebody still relies on; nonempty at quiescence means
+        deadlock."""
         out = []
         for inst in self.instances:
             if inst.mailbox and any(
                 slot.tag in inst.mailbox
                 and any(self.alg.relevant(a) for a in slot.args)
+                and any(len(m[1]) == len(slot.args) for m in inst.mailbox[slot.tag])
                 for slot in self.alg.heads(inst.decl)
             ):
                 out.append(inst.oid)
@@ -452,18 +458,11 @@ class Soup:
 
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
-        re-typing invariant the scheduler is expected to preserve.  Only
-        objects created or touched since the last call are tested again;
-        the others keep their last answer.  Changes are tracked only from
-        the first call, which tests every object."""
-        if self._unchecked is None:
-            self._unchecked = dict.fromkeys(self.instances)
-        for inst in self._unchecked:
-            if fits(inst.caps, inst.counts):
-                self._misfits.discard(inst)
-            else:
-                self._misfits.add(inst)
-        self._unchecked.clear()
+        re-typing invariant the scheduler is expected to preserve.  The
+        first call tests every object; from then on spawn and settle test
+        each new and each touched one, so a call only reads the answer."""
+        if self._misfits is None:
+            self._misfits = {i for i in self.instances if not fits(i.caps, i.counts)}
         return not self._misfits
 
 

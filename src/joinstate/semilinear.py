@@ -41,6 +41,9 @@ sums are memoized for one `_prune` call, so many component pairs share one
 walk of a cone.  A star takes one rule (`_star`): each body component
 without periods lends its base as a period to every component, and each
 subset of the components with periods, taken at least once, gives one.
+
+Liveness tests only each component's least configurations: its base, and
+its base plus one period (`live`).
 """
 
 from __future__ import annotations
@@ -553,7 +556,11 @@ TagMultiset = Mapping[str, int]
 
 def live(alg: TypeAlgebra, t: TypeExpr, patterns: Iterable[TagMultiset]) -> bool:
     """Whether every configuration of t that triggers none of the given
-    pattern tag multisets carries only irrelevant-argument messages."""
+    pattern tag multisets carries only irrelevant-argument messages.
+
+    Triggering none stays true as messages go, and periods only add them
+    (Ginsburg & Spanier 1966), so a least counterexample is some
+    component's base, or its base plus one period."""
     alphabet = joint_alphabet(alg, t)
     relevant_slots = [
         i
@@ -562,49 +569,16 @@ def live(alg: TypeAlgebra, t: TypeExpr, patterns: Iterable[TagMultiset]) -> bool
     ]
     if not relevant_slots:
         return True
-    pats = [dict(p) for p in patterns]
     tag_slots = _tag_slots(alphabet)
-
-    # For each pattern B we pick one tag on which the configuration falls
-    # short (count <= B(tag) - 1); a pattern tag absent from the alphabet
-    # always falls short, imposing no constraint.
-    choice_sets: list[list[tuple[str, int] | None]] = []
-    for pat in pats:
-        options: list[tuple[str, int] | None] = []
-        for tag, k in pat.items():
-            if tag not in tag_slots:
-                options = [None]
-                break
-            options.append((tag, k - 1))
-        choice_sets.append(options)
-
+    # Per pattern, (a tag's slots, count) pairs; a tag not in t has none.
+    pats = [[(tag_slots.get(tag, ()), k) for tag, k in p.items()] for p in patterns]
     for comp in parikh(alg, t, alphabet):
-        for choice in itertools.product(*choice_sets):
-            bounds: dict[str, int] = {}
-            for c in choice:
-                if c is None:
-                    continue
-                tag, cap = c
-                bounds[tag] = min(bounds.get(tag, cap), cap)
-
-            def within(v: Vector) -> bool:
-                return all(
-                    sum(v[i] for i in tag_slots[tag]) <= cap
-                    for tag, cap in bounds.items()
-                )
-
-            if not within(comp.base):
-                continue
-            # Is there a configuration under these bounds that carries a
-            # relevant-argument message?  Upper bounds shrink monotonically as
-            # periods are added, and the single lower bound (one message at a
-            # relevant slot) needs at most one period, so checking the base
-            # plus at most one period is complete.
-            for c in relevant_slots:
-                if comp.base[c] >= 1 or any(
-                    p[c] >= 1 and within(_add(comp.base, p)) for p in comp.periods
-                ):
-                    return False
+        for v in (comp.base, *(_add(comp.base, p) for p in comp.periods)):
+            if any(v[i] for i in relevant_slots) and not any(
+                all(sum(v[i] for i in slots) >= k for slots, k in pat)
+                for pat in pats
+            ):
+                return False
     return True
 
 

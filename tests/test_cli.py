@@ -232,6 +232,26 @@ class TestRun:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "decl,send,code,verdict",
+        [
+            # The leftover M carries no argument, unlike the relevant slot.
+            ("1 + M + M(Reply(#Number))", "o!M", 0, "Terminated"),
+            # Of the relevant slot's arity: a deadlock, conservatively.
+            ("1 + M(#Number) + M(Reply(#Number))", "o!M(5)", 3,
+             "Deadlocked (o@1)"),
+        ],
+    )
+    def test_deadlock_respects_the_leftover_arity(
+        self, tmp_path, capsys, decl, send, code, verdict
+    ):
+        src = tmp_path / "left.cob"
+        src.write_text(f"new o : {decl} [ A |> done ] in {send}")
+        assert main(["run", str(src), "--no-typecheck"]) == code
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"verdict: {verdict} after 0 steps"
+        )
+
     def test_step_budget_exit_code(self, capsys):
         code = main([
             "run", path("accepted/sieve.cob"), "--max-steps", "5000",

@@ -148,10 +148,16 @@ class TestEngineAgreement:
                     ), (ty.render(t), vector)
 
     def test_liveness_agreement(self):
+        # Arguments make slots relevant, and patterns may name their tags.
         rng = random.Random(3)
-        for _ in range(80):
-            decl = random_type(rng, depth=2, arg_depth=0)
+        verdicts = set()
+        for _ in range(300):
+            decl = random_type(rng, depth=2, arg_depth=1)
             patterns = random_patterns(rng)
-            assert live(ALG, decl, patterns) == oracle_live(
-                ALG, decl, patterns
-            ), (ty.render(decl), patterns)
+            verdict = live(ALG, decl, patterns)
+            assert verdict == oracle_live(ALG, decl, patterns), (
+                ty.render(decl),
+                patterns,
+            )
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

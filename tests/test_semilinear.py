@@ -24,7 +24,9 @@ from joinstate.semilinear import (
     _bounded_coeffs,
     _Matcher,
     _prune,
+    _add,
     _star,
+    _tag_slots,
     _transport_exists,
     arg_determinate,
     fits,
@@ -826,7 +828,80 @@ class TestTagCaps:
         assert answers == {True, False}
 
 
+def reference_live(alg, t, patterns):
+    """Liveness as it was first written: one short tag chosen per pattern,
+    every choice tried, each bounding a component's base and its base plus
+    one period."""
+    alphabet = joint_alphabet(alg, t)
+    relevant_slots = [
+        i
+        for i, slot in enumerate(alphabet)
+        if any(alg.relevant(a) for a in slot.args)
+    ]
+    if not relevant_slots:
+        return True
+    tag_slots = _tag_slots(alphabet)
+    choice_sets = []
+    for pat in patterns:
+        options = []
+        for tag, k in pat.items():
+            if tag not in tag_slots:
+                options = [None]
+                break
+            options.append((tag, k - 1))
+        choice_sets.append(options)
+    for comp in parikh(alg, t, alphabet):
+        for choice in itertools.product(*choice_sets):
+            bounds = {}
+            for c in choice:
+                if c is not None:
+                    tag, cap = c
+                    bounds[tag] = min(bounds.get(tag, cap), cap)
+
+            def within(v):
+                return all(
+                    sum(v[i] for i in tag_slots[tag]) <= cap
+                    for tag, cap in bounds.items()
+                )
+
+            if not within(comp.base):
+                continue
+            for c in relevant_slots:
+                if comp.base[c] >= 1 or any(
+                    p[c] >= 1 and within(_add(comp.base, p)) for p in comp.periods
+                ):
+                    return False
+    return True
+
+
 class TestLive:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_reference(self, seed):
+        # The types and tags of TestTagCaps, and up to four patterns.
+        rng = random.Random(seed)
+        alg = TypeAlgebra()
+        answers = set()
+        for _ in range(2000):
+            t = TestTagCaps.random_type(rng)
+            patterns = [
+                {tag: rng.randint(1, 2) for tag in rng.sample(TestTagCaps.TAGS, k)}
+                for k in rng.choices((1, 2, 3), k=rng.randint(0, 4))
+            ]
+            answer = live(alg, t, patterns)
+            assert answer == reference_live(alg, t, patterns), (t, patterns)
+            answers.add(answer)
+        assert answers == {True, False}
+
+    def test_many_patterns(self):
+        # R(Reply(#Number)) . T0 . ... . T15 with rules Ti & Ti+1 & Ti+2:
+        # a product over one short tag per pattern tries 3^12 choices.
+        ts = [f"T{i}" for i in range(16)]
+        t = Prod((msg("R", msg("Reply", NUMBER)), *map(msg, ts)))
+        patterns = [dict.fromkeys(ts[i : i + 3], 1) for i in range(12)]
+        start = time.perf_counter()
+        assert live(TypeAlgebra(), t, patterns)
+        assert time.perf_counter() - start < 0.5
+
     def test_future_patterns(self):
         alg = TypeAlgebra(future_table())
         X = [{"EMPTY": 1, "Resolve": 1}, {"RESOLVED": 1, "Get": 1}]

@@ -15,14 +15,15 @@ that `_compile` aligned with that order.  A rule taking one tag k >= 2
 times keeps, per object and tag, the ways to take m <= k messages as a
 polynomial truncated after x^k, so a delivery or a consumption updates
 the count in O(k) instead of recounting every payload; a firing decodes
-its pick from a copy of the same polynomial.
+its pick from a copy of the same polynomial.  An object's env holds only
+its rules' free names; a firing copies it into a frame of its own.
 
 Optional monitors ask, of each object whose mailbox changed, whether the
 per-tag message counts that `deliver` and `fire` keep fit its declared
 type (`semilinear.fits`).  If not, the program has broken its protocol and
 the run stops.  When no reaction is enabled the run has quiesced.  It is a
-deadlock if some leftover message has the tag and arity of a slot whose
-argument the type marks as relevant, as somebody is waiting forever.
+deadlock if some leftover message carries an object at an argument that a
+slot of its tag and arity marks as relevant: somebody waits forever.
 Otherwise, with monitors on, the declared type derived by each mailbox's
 tags must be nullable: a mailbox holding only part of a configuration of
 its protocol means a message was sent too many or too few times.
@@ -65,7 +66,7 @@ from .types import TypeExpr
 Value = object  # float | bool | ObjId
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ObjId:
     serial: int
     text: str = field(compare=False)
@@ -87,9 +88,11 @@ NUMBER_ID = ObjId(-2, "Number")
 
 # A message is (tag, argument values); mailboxes collapse equal payloads.
 Message = tuple[str, tuple[Value, ...]]
-# Binder uid -> value.  Environments are never mutated once built, so the
-# closures below share them freely.
+# Binder uid -> value.  An object's env is never written, and those of
+# objects whose rules read no outer name are one _NO_NAMES; a frame belongs
+# to one firing, or to the soup's start, and `spawn` binds in it in place.
 Env = dict[int, Value]
+_NO_NAMES: Env = {}
 ProcCode = Callable[["Soup", Env], None]
 
 
@@ -104,8 +107,9 @@ class Instance:
     # order, so they zip with the messages in the order they are taken.
     rules: list[tuple[list[tuple[str, int, list]], ProcCode, str]]
     decl: TypeExpr
-    # The declared type's `tag_caps`, which the monitors test counts against.
-    caps: list[dict[str, float]]
+    # The declared type's `tag_caps`, which the monitors test counts against
+    # (None until monitors or check_solution need it).
+    caps: Optional[list[dict[str, float]]]
     # Per rule, the number of distinct selections the mailbox allows.
     weights: list[int]
     # For each tag some rule takes k >= 2 copies of: the number of ways to
@@ -211,7 +215,7 @@ class Soup:
         # Objects whose mailbox does not fit their protocol, kept by spawn
         # and settle from the first check_solution call on (None before).
         self._misfits: Optional[set[Instance]] = None
-        _compile(program.process)(
+        _compile(program.process, set())(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
         self.settle()
@@ -226,17 +230,21 @@ class Soup:
 
     def spawn(
         self, node: NewObj, rules: list, multi: tuple[tuple[str, int], ...],
-        env: Env,
-    ) -> Env:
+        free: set[int], env: Env,
+    ):
         """Create an object for node with its compiled rules, where multi
-        pairs each tag a rule takes k >= 2 copies of with its largest k;
-        returns env extended with it, the object's own env and its body's
-        too."""
+        pairs each tag a rule takes k >= 2 copies of with its largest k,
+        and bind it in the frame env, which its body runs in.  The object
+        keeps only the entries for free, the names its rules read."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
-        env = {**env, node.name.uid: oid}
+        env[node.name.uid] = oid
         decl = self.decls[node.name]
         inst = Instance(
-            oid, node, env, rules, decl, tag_caps(self.alg, decl), [0] * len(rules),
+            oid, node, {uid: env[uid] for uid in free} if free else _NO_NAMES,
+            rules, decl,
+            tag_caps(self.alg, decl)
+            if self.monitors or self._misfits is not None else None,
+            [0] * len(rules),
             {tag: [1] + [0] * k for tag, k in multi} if multi else None,
         )
         self.instances.append(inst)
@@ -245,7 +253,6 @@ class Soup:
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
         if self.tracing:
             self.emit("new", repr(oid), "", ty.render(inst.decl))
-        return env
 
     def call_builtin(self, target: ObjId, msg: Message):
         tag, args = msg
@@ -390,6 +397,9 @@ class Soup:
                     counts[tag] -= k
                 else:
                     del mailbox[tag], counts[tag]
+        if not mailbox:  # A dict keeps its table after its last key goes.
+            mailbox.clear()
+            counts.clear()
         self._touched[inst] = None
 
         if tracing:
@@ -415,16 +425,18 @@ class Soup:
     # --- end states ---------------------------------------------------------
 
     def stuck_objects(self) -> list[ObjId]:
-        """Objects whose leftover messages, by tag and arity, carry
-        arguments somebody still relies on; nonempty at quiescence means
+        """Objects holding a leftover message that carries an object at an
+        argument somebody still relies on: a relevant argument of a slot of
+        the message's tag and arity.  Nonempty at quiescence means
         deadlock."""
-        out = []
+        alg, out = self.alg, []
         for inst in self.instances:
-            if inst.mailbox and any(
-                slot.tag in inst.mailbox
-                and any(self.alg.relevant(a) for a in slot.args)
-                and any(len(m[1]) == len(slot.args) for m in inst.mailbox[slot.tag])
-                for slot in self.alg.heads(inst.decl)
+            mailbox = inst.mailbox
+            if mailbox and any(
+                isinstance(args[i], ObjId)
+                for slot in alg.heads(inst.decl) if slot.tag in mailbox
+                for i, a in enumerate(slot.args) if alg.relevant(a)
+                for _, args in mailbox[slot.tag] if len(args) == len(slot.args)
             ):
                 out.append(inst.oid)
         return out
@@ -462,6 +474,9 @@ class Soup:
         first call tests every object; from then on spawn and settle test
         each new and each touched one, so a call only reads the answer."""
         if self._misfits is None:
+            for i in self.instances:
+                if i.caps is None:
+                    i.caps = tag_caps(self.alg, i.decl)
             self._misfits = {i for i in self.instances if not fits(i.caps, i.counts)}
         return not self._misfits
 
@@ -514,7 +529,8 @@ def run(
 # A process compiles to a closure taking (soup, env) and an expression to
 # one taking env (Feeley & Lapalme 1987).  Closures run the parts of a
 # process depth first, left to right, so serials, mailbox order and with
-# them the RNG draws follow the order of the source.
+# them the RNG draws follow the order of the source.  The same walk adds to
+# `reads` the uids the code reads from outside it (Shao & Appel 1994).
 
 _BINOPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -524,10 +540,13 @@ _BINOPS = {
 }
 
 
-def _compile(p: Process) -> ProcCode:
+def _compile(p: Process, reads: set[int]) -> ProcCode:
     if isinstance(p, Send):
         uid = p.target.uid
-        molecule = [(m.tag, [_compile_expr(a) for a in m.args]) for m in p.molecule]
+        reads.add(uid)
+        molecule = [
+            (m.tag, [_compile_expr(a, reads) for a in m.args]) for m in p.molecule
+        ]
 
         def send(soup, env):
             target = env[uid]
@@ -538,7 +557,7 @@ def _compile(p: Process) -> ProcCode:
 
         return send
     if isinstance(p, Par):
-        parts = [_compile(q) for q in p.parts]
+        parts = [_compile(q, reads) for q in p.parts]
 
         def par(soup, env):
             for part in parts:
@@ -548,10 +567,15 @@ def _compile(p: Process) -> ProcCode:
     if isinstance(p, NewObj):
         rules = []
         multi: dict[str, int] = {}
+        # What the rule bodies read, less the parameters they bind.
+        free: set[int] = set()
+        bound: list[int] = []
         for r in p.rules:
             params: dict[str, list[list[int]]] = {}
             for m in r.pattern:
-                params.setdefault(m.tag, []).append([n.uid for n in m.params])
+                uids = [n.uid for n in m.params]
+                params.setdefault(m.tag, []).append(uids)
+                bound += uids
             takes = []
             for tag, uids in sorted(params.items()):
                 k = len(uids)
@@ -561,27 +585,37 @@ def _compile(p: Process) -> ProcCode:
                     # The first pattern message binds the last copy taken.
                     takes.append((tag, k, uids[::-1]))
                     multi[tag] = max(k, multi.get(tag, 0))
-            label = ",".join(m.tag for m in r.pattern)
-            rules.append((takes, _compile(r.body), label))
+            label = ",".join([m.tag for m in r.pattern])
+            rules.append((takes, _compile(r.body, free), label))
+        free.difference_update(bound)
         multi_items = tuple(multi.items())
-        body = _compile(p.body)
-        return lambda soup, env: body(soup, soup.spawn(p, rules, multi_items, env))
+        body = _compile(p.body, reads)
+        reads |= free
+        reads.discard(p.name.uid)
+
+        def new(soup, env):
+            soup.spawn(p, rules, multi_items, free, env)
+            body(soup, env)
+
+        return new
     if isinstance(p, If):
-        cond, then, els = _compile_expr(p.cond), _compile(p.then), _compile(p.els)
+        cond = _compile_expr(p.cond, reads)
+        then, els = _compile(p.then, reads), _compile(p.els, reads)
         return lambda soup, env: (then if cond(env) else els)(soup, env)
     if isinstance(p, Done):
         return lambda soup, env: None
     raise TypeError(f"not a process: {p!r}")
 
 
-def _compile_expr(e: Expr) -> Callable[[Env], Value]:
+def _compile_expr(e: Expr, reads: set[int]) -> Callable[[Env], Value]:
     if isinstance(e, Var):
+        reads.add(e.name.uid)
         return operator.itemgetter(e.name.uid)
     if isinstance(e, (NumLit, BoolLit)):
         value = e.value
         return lambda env: value
     if isinstance(e, BinOp):
-        left, right = _compile_expr(e.left), _compile_expr(e.right)
+        left, right = _compile_expr(e.left, reads), _compile_expr(e.right, reads)
         op, apply, arith = e.op, _BINOPS[e.op], e.op in ("+", "-", "*", "/", "%")
 
         def binop(env):

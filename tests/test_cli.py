@@ -237,8 +237,12 @@ class TestRun:
         [
             # The leftover M carries no argument, unlike the relevant slot.
             ("1 + M + M(Reply(#Number))", "o!M", 0, "Terminated"),
-            # Of the relevant slot's arity: a deadlock, conservatively.
-            ("1 + M(#Number) + M(Reply(#Number))", "o!M(5)", 3,
+            # Of the relevant slot's arity, but it carries a number, which
+            # nobody waits on.
+            ("1 + M(#Number) + M(Reply(#Number))", "o!M(5)", 0, "Terminated"),
+            # An object at the relevant argument waits forever.
+            ("1 + M(#Number) + M(Reply(#Number))",
+             "new k : 1 + Reply(#Number) [ Reply(n) |> done ] in o!M(k)", 3,
              "Deadlocked (o@1)"),
         ],
     )

@@ -8,12 +8,14 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from joinstate.checker import check_program
 from joinstate.cli import main
+from joinstate.core import BinOp, If, NewObj, Par, Send, Var
 from joinstate.desugar import load_program
 from joinstate.oracle import enabled_reactions, reaction, reference_picks
 from joinstate.parser import MAX_NESTING, ParseError
@@ -23,7 +25,7 @@ from joinstate.runtime import (
     _unrank_picks,
     run,
 )
-from joinstate.semilinear import fits
+from joinstate.semilinear import fits, tag_caps
 from joinstate.types import TypeAlgebra
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -754,6 +756,21 @@ class TestCheckSolution:
             pass
         assert soup._misfits is None
 
+    def test_unmonitored_run_looks_up_no_caps(self, monkeypatch):
+        # Without monitors or check_solution nothing reads an object's caps.
+        calls = Counter()
+
+        def counted(alg, t):
+            calls["tag_caps"] += 1
+            return tag_caps(alg, t)
+
+        monkeypatch.setattr("joinstate.runtime.tag_caps", counted)
+        program = load_file("accepted/sieve.cob")
+        result = run(program, seed=0, max_steps=2000, monitors=False)
+        assert result.steps == 2000 and calls["tag_caps"] == 0
+        run(program, seed=0, max_steps=200)
+        assert calls["tag_caps"] > 0
+
     # Two As against a strictly one-A protocol, run unmonitored: the
     # invariant fails at first and holds once an A & B pair has reacted.
     BREACH = "new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B"
@@ -800,3 +817,84 @@ class TestCheckSolution:
         # The monitors' test answers check_solution too: only each object
         # is tested once more, when created or at the first check.
         assert calls["fits"] <= monitors_only + sum(result.created.values())
+
+
+def free_names(node) -> set[int]:
+    """Reference walk: the binder uids a core process or expression reads
+    from outside itself."""
+    if isinstance(node, Var):
+        return {node.name.uid}
+    if isinstance(node, BinOp):
+        return free_names(node.left) | free_names(node.right)
+    if isinstance(node, Send):
+        args = [a for m in node.molecule for a in m.args]
+        return {node.target.uid}.union(*map(free_names, args))
+    if isinstance(node, Par):
+        return set().union(*map(free_names, node.parts))
+    if isinstance(node, If):
+        return free_names(node.cond) | free_names(node.then) | free_names(node.els)
+    if isinstance(node, NewObj):
+        return (rule_names(node) | free_names(node.body)) - {node.name.uid}
+    return set()  # done, or a literal
+
+
+def rule_names(obj: NewObj) -> set[int]:
+    """What obj's rules read, less the parameters their patterns bind."""
+    return set().union(*(
+        free_names(r.body) - {n.uid for m in r.pattern for n in m.params}
+        for r in obj.rules
+    ))
+
+
+class TestFlatEnvs:
+    """Each object keeps only the names its rules read."""
+
+    @pytest.mark.parametrize(
+        "rel", sorted(str(p.relative_to(PROGRAMS)) for p in PROGRAMS.rglob("*.cob"))
+    )
+    def test_env_is_the_rules_free_names(self, rel):
+        program = load_file(rel)
+        soup = Soup(program, seed=1)
+        seen = 0
+        while True:
+            if soup.steps in (0, 1, 3, 10, 100, 1000):
+                for inst in soup.instances:
+                    assert set(inst.env) == rule_names(inst.node), inst.oid
+                    if inst.node.name.uid in inst.env:
+                        assert inst.env[inst.node.name.uid] is inst.oid
+                    seen += 1
+                # Objects whose rules read no outer name share one mapping.
+                assert len({id(i.env) for i in soup.instances if not i.env}) <= 1
+            if soup.violation is not None or soup.steps >= 1000 or not soup.step():
+                break
+        assert seen
+
+    def test_pi_workers_hold_empty_envs(self):
+        soup = Soup(load_file("accepted/pi.cob"), seed=1)
+        while soup.steps < 500 and soup.step():
+            pass
+        workers = [i for i in soup.instances if i.oid.text == "this"]
+        assert workers and all(i.env == {} for i in workers)
+
+    def test_rule_reading_an_outer_object(self):
+        # The checker rejects b's rule for reading a, which is not stateless;
+        # unchecked, b keeps a in its env and the run goes on as before.
+        src = "new a : *X [ X |> System!Print(1) ] in new b : *M [ M |> a!X ] in b!M"
+        assert check_program(load_program(src)).verdict == "rejected"
+        result = run_source(src)
+        assert (result.verdict, result.steps, result.outputs) == (
+            "Terminated", 2, [1.0]
+        )
+
+    def test_pi_run_keeps_little_memory(self):
+        # Copying the whole enclosing scope into every object, and keeping
+        # each drained mailbox's table, peaked at 6.2 MB.
+        program = load_file("accepted/pi.cob")
+        tracemalloc.start()
+        try:
+            result = run(program, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "Terminated"
+        assert peak < 4 << 20, peak

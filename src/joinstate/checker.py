@@ -616,43 +616,22 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
     return Checker(program, bound).run()
 
 
-def resolve_closure_types(
-    program: CoreProgram,
-) -> tuple[dict[Name, TypeExpr], TypeAlgebra]:
-    """Every object's, continuation's and rule variable's declared type, by
-    binder, and the algebra that typed them, for the soup's monitors to
-    follow: the checker's own declarations, made without full checking and
-    without writing into the program, so the runtime executes checked and
-    unchecked programs alike.  A continuation's base is `closure_base` (1
-    where the checker rejects it), with CLOSURE argument types approximated
-    by the captured names' declared types: the runtime follows message
-    tags, and only asks whether a leftover CLOSURE message's arguments are
-    relevant.  `bind_pattern` declares each rule's variables up to where
-    it rejects the pattern; the rest stay undeclared, that is of type 1."""
-    checker = Checker(program)  # only its declarations are kept
-    decls = checker.decls
-
-    def resolve(p: Process):
-        if isinstance(p, Par):
-            for q in p.parts:
-                resolve(q)
-        elif isinstance(p, If):
-            resolve(p.then)
-            resolve(p.els)
-        elif isinstance(p, NewObj):
-            spec = p.closure
-            if spec is None:
-                decl = p.decl
-            else:
-                base = checker.closure_base(spec, p.pos) or ty.ONE
-                decl = closure_decl(
-                    base, tuple(decls.get(n, ty.ONE) for n in spec.captured)
-                )
-            decls[p.name] = decl
-            for rule in p.rules:
-                checker.bind_pattern(decl, rule.pattern, "rule", p.pos)
-                resolve(rule.body)
-            resolve(p.body)
-
-    resolve(program.process)
-    return decls, checker.alg
+def resolve_closure_types(checker: Checker, p: NewObj) -> TypeExpr:
+    """Declare object p and its rules' variables in checker, which holds the
+    names p refers to, and return p's type: the checker's own declarations,
+    made without full checking or writing into the program, so the soup's
+    monitors follow the same types in checked and unchecked programs.  A
+    continuation's base is `closure_base` (1 where the checker rejects it),
+    with CLOSURE argument types approximated by the captured names'
+    declared types: the runtime follows message tags, and only asks whether
+    a leftover CLOSURE message's arguments are relevant.  `bind_pattern`
+    declares each rule's variables up to where it rejects the pattern; the
+    rest stay undeclared, that is of type 1."""
+    decl, spec, decls = p.decl, p.closure, checker.decls
+    if spec is not None:
+        base = checker.closure_base(spec, p.pos) or ty.ONE
+        decl = closure_decl(base, tuple(decls.get(n, ty.ONE) for n in spec.captured))
+    decls[p.name] = decl
+    for rule in p.rules:
+        checker.bind_pattern(decl, rule.pattern, "rule", p.pos)
+    return decl

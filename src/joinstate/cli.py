@@ -5,7 +5,7 @@ Exit codes:
   run      0 Terminated, 2 MonitorViolation, 3 Deadlocked,
            4 StepBudgetExhausted (not a failure: some programs are
            intentionally infinite), 5 RuntimeFault, 1 rejected by the
-           type checker
+           type checker, 73 when the --trace-json file cannot be written
   fuzz     0 if the summary assertion holds, 1 otherwise
   any      64 usage error, 65 parse or type-declaration error, or a
            source file that is not UTF-8
@@ -14,9 +14,10 @@ A run with monitors on ends in MonitorViolation when a mailbox leaves its
 protocol, and also when the run quiesces with some mailbox holding only
 part of a configuration of its protocol (a message sent too many or too
 few times); Deadlocked takes precedence.  RuntimeFault is an arithmetic
-fault (`/` or `%` by zero, overflow) or a send to a method the builtin
-objects lack; fuzz counts it as a violation.  Input nested more than
-parser.MAX_NESTING levels deep is a parse error.
+fault (`/` or `%` by zero, overflow), a send to a method the builtin
+objects lack, or an unchecked `if` on a non-boolean; fuzz counts it as a
+violation.  A number literal too large for a float, or input nested more
+than parser.MAX_NESTING levels deep, is a parse error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .types import TypeAlgebra, TypeDeclError, render
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_CANTCREAT = 73
 
 RUN_EXIT = {
     "Terminated": 0,
@@ -172,7 +174,12 @@ def cmd_run(args) -> int:
     )
     if args.trace_json:
         events = [vars(e) for e in result.trace]
-        args.trace_json.write_text(json.dumps(events, indent=2))
+        try:
+            args.trace_json.write_text(json.dumps(events, indent=2))
+        except OSError as exc:
+            print(f"joinstate: cannot write {args.trace_json}: {exc.strerror}",
+                  file=sys.stderr)
+            return EX_CANTCREAT
     if args.json:
         print(json.dumps(
             {

@@ -132,10 +132,10 @@ class ClosureSpec:
     object's single rule.  The object's base protocol is argument `index`
     of the `tag` slot of `target`; index -1 is the trailing argument, the
     reply of a synchronous call.  `checker.Checker.closure_base` is the one
-    reader of that slot, for the checker and for the runtime
-    (`checker.resolve_closure_types`, which declares the object by binder)
-    alike; neither writes the type into the program, whose `NewObj.decl`
-    stays None."""
+    reader of that slot, for the checker and for the runtime alike: a soup
+    declares the object by binder when it compiles the `new` node
+    (`checker.resolve_closure_types`, one node at a time).  Neither writes
+    the type into the program, whose `NewObj.decl` stays None."""
 
     captured: tuple[Name, ...]
     target: Name

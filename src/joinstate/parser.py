@@ -11,6 +11,7 @@ molecule, and inside a join pattern it joins the pattern's messages.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -483,7 +484,9 @@ class _Parser:
             return SBlock(self.block(), t.pos)
         self.i += 1
         if t.kind == "number":
-            return SNum(float(t.text))
+            if math.isinf(value := float(t.text)):
+                raise ParseError("number too large", t.pos)
+            return SNum(value)
         if t.kind in ("true", "false"):
             return SBool(t.kind == "true")
         if t.kind == "(":

@@ -20,14 +20,16 @@ its rules' free names; a firing copies it into a frame of its own.
 
 Optional monitors ask, of each object whose mailbox changed, whether the
 per-tag message counts that `deliver` and `fire` keep fit its declared
-type (`semilinear.fits`).  If not, the program has broken its protocol and
-the run stops.  When no reaction is enabled the run has quiesced.  It is a
-deadlock if some leftover message carries an object at an argument that a
-slot of its tag and arity marks as relevant: somebody waits forever.
+type's caps (`semilinear.fits`), which `_compile` looks up once per `new`
+node.  If not, the program has broken its protocol and the run stops.
+When no reaction is enabled the run has quiesced.  It is a deadlock if
+some leftover message carries an object at an argument that a slot of its
+tag and arity marks as relevant: somebody waits forever.
 Otherwise, with monitors on, the declared type derived by each mailbox's
 tags must be nullable: a mailbox holding only part of a configuration of
 its protocol means a message was sent too many or too few times.
-Arithmetic faults, arithmetic on booleans, `Pow` outside its domain,
+Arithmetic faults (overflow: a result that is not finite), arithmetic on
+booleans, a condition that is not a boolean, `Pow` outside its domain,
 objects passed to a builtin as numbers, sends to methods the builtin
 objects lack and a message taken by a pattern of another arity end the run
 as a RuntimeFault.
@@ -43,7 +45,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from . import types as ty
-from .checker import resolve_closure_types
+from .checker import Checker, resolve_closure_types
 from .core import (
     NUMBER_OBJ,
     SYSTEM,
@@ -107,9 +109,8 @@ class Instance:
     # order, so they zip with the messages in the order they are taken.
     rules: list[tuple[list[tuple[str, int, list]], ProcCode, str]]
     decl: TypeExpr
-    # The declared type's `tag_caps`, which the monitors test counts against
-    # (None until monitors or check_solution need it).
-    caps: Optional[list[dict[str, float]]]
+    # The declared type's `tag_caps`, which the monitors test counts against.
+    caps: list[dict[str, float]]
     # Per rule, the number of distinct selections the mailbox allows.
     weights: list[int]
     # For each tag some rule takes k >= 2 copies of: the number of ways to
@@ -196,7 +197,8 @@ class Soup:
         monitors: bool = True,
         trace: bool = False,
     ):
-        self.decls, self.alg = resolve_closure_types(program)
+        checker = Checker(program)  # _compile declares each object in it
+        self.alg = checker.alg
         self.rng = random.Random(seed)
         self.monitors = monitors
         self.tracing = trace
@@ -215,7 +217,7 @@ class Soup:
         # Objects whose mailbox does not fit their protocol, kept by spawn
         # and settle from the first check_solution call on (None before).
         self._misfits: Optional[set[Instance]] = None
-        _compile(program.process, set())(
+        _compile(program.process, set(), checker)(
             self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
         )
         self.settle()
@@ -229,23 +231,20 @@ class Soup:
     # --- heating ------------------------------------------------------------
 
     def spawn(
-        self, node: NewObj, rules: list, multi: tuple[tuple[str, int], ...],
-        free: set[int], env: Env,
+        self, node: NewObj, decl: TypeExpr, caps: list, rules: list,
+        multi: dict[str, int], free: set[int], env: Env,
     ):
-        """Create an object for node with its compiled rules, where multi
-        pairs each tag a rule takes k >= 2 copies of with its largest k,
-        and bind it in the frame env, which its body runs in.  The object
-        keeps only the entries for free, the names its rules read."""
+        """Create an object for node, of type decl, with its caps and
+        compiled rules, where multi maps each tag a rule takes k >= 2
+        copies of to its largest k, and bind it in the frame env, which
+        its body runs in.  It keeps only the entries for free, the names
+        its rules read."""
         oid = ObjId(len(self.instances) + 1, node.name.text)
         env[node.name.uid] = oid
-        decl = self.decls[node.name]
         inst = Instance(
             oid, node, {uid: env[uid] for uid in free} if free else _NO_NAMES,
-            rules, decl,
-            tag_caps(self.alg, decl)
-            if self.monitors or self._misfits is not None else None,
-            [0] * len(rules),
-            {tag: [1] + [0] * k for tag, k in multi} if multi else None,
+            rules, decl, caps, [0] * len(rules),
+            {tag: [1] + [0] * k for tag, k in multi.items()} if multi else None,
         )
         self.instances.append(inst)
         if self._misfits is not None and not fits(inst.caps, inst.counts):
@@ -474,9 +473,6 @@ class Soup:
         first call tests every object; from then on spawn and settle test
         each new and each touched one, so a call only reads the answer."""
         if self._misfits is None:
-            for i in self.instances:
-                if i.caps is None:
-                    i.caps = tag_caps(self.alg, i.decl)
             self._misfits = {i for i in self.instances if not fits(i.caps, i.counts)}
         return not self._misfits
 
@@ -530,7 +526,8 @@ def run(
 # one taking env (Feeley & Lapalme 1987).  Closures run the parts of a
 # process depth first, left to right, so serials, mailbox order and with
 # them the RNG draws follow the order of the source.  The same walk adds to
-# `reads` the uids the code reads from outside it (Shao & Appel 1994).
+# `reads` the uids the code reads from outside it (Shao & Appel 1994), and
+# declares each object in `checker` before the code that can refer to it.
 
 _BINOPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -540,7 +537,7 @@ _BINOPS = {
 }
 
 
-def _compile(p: Process, reads: set[int]) -> ProcCode:
+def _compile(p: Process, reads: set[int], checker: Checker) -> ProcCode:
     if isinstance(p, Send):
         uid = p.target.uid
         reads.add(uid)
@@ -557,7 +554,7 @@ def _compile(p: Process, reads: set[int]) -> ProcCode:
 
         return send
     if isinstance(p, Par):
-        parts = [_compile(q, reads) for q in p.parts]
+        parts = [_compile(q, reads, checker) for q in p.parts]
 
         def par(soup, env):
             for part in parts:
@@ -565,6 +562,8 @@ def _compile(p: Process, reads: set[int]) -> ProcCode:
 
         return par
     if isinstance(p, NewObj):
+        decl = resolve_closure_types(checker, p)
+        caps = tag_caps(checker.alg, decl)
         rules = []
         multi: dict[str, int] = {}
         # What the rule bodies read, less the parameters they bind.
@@ -586,22 +585,28 @@ def _compile(p: Process, reads: set[int]) -> ProcCode:
                     takes.append((tag, k, uids[::-1]))
                     multi[tag] = max(k, multi.get(tag, 0))
             label = ",".join([m.tag for m in r.pattern])
-            rules.append((takes, _compile(r.body, free), label))
+            rules.append((takes, _compile(r.body, free, checker), label))
         free.difference_update(bound)
-        multi_items = tuple(multi.items())
-        body = _compile(p.body, reads)
+        body = _compile(p.body, reads, checker)
         reads |= free
         reads.discard(p.name.uid)
 
         def new(soup, env):
-            soup.spawn(p, rules, multi_items, free, env)
+            soup.spawn(p, decl, caps, rules, multi, free, env)
             body(soup, env)
 
         return new
     if isinstance(p, If):
         cond = _compile_expr(p.cond, reads)
-        then, els = _compile(p.then, reads), _compile(p.els, reads)
-        return lambda soup, env: (then if cond(env) else els)(soup, env)
+        then, els = _compile(p.then, reads, checker), _compile(p.els, reads, checker)
+
+        def if_(soup, env):
+            c = cond(env)
+            if c.__class__ is not bool:  # only in an unchecked program
+                raise RuntimeError_(f"condition must be a boolean, got {_fmt(c)}")
+            (then if c else els)(soup, env)
+
+        return if_
     if isinstance(p, Done):
         return lambda soup, env: None
     raise TypeError(f"not a process: {p!r}")
@@ -617,6 +622,7 @@ def _compile_expr(e: Expr, reads: set[int]) -> Callable[[Env], Value]:
     if isinstance(e, BinOp):
         left, right = _compile_expr(e.left, reads), _compile_expr(e.right, reads)
         op, apply, arith = e.op, _BINOPS[e.op], e.op in ("+", "-", "*", "/", "%")
+        isfinite = math.isfinite
 
         def binop(env):
             a = left(env)
@@ -626,11 +632,14 @@ def _compile_expr(e: Expr, reads: set[int]) -> Callable[[Env], Value]:
             try:
                 if arith and (a.__class__ is bool or b.__class__ is bool):
                     raise TypeError
-                return apply(a, b)
+                value = apply(a, b)
             except TypeError:
                 raise RuntimeError_(
                     f"cannot apply {op} to {_fmt(a)} and {_fmt(b)}"
                 ) from None
+            if arith and not isfinite(value):  # a float overflows to inf
+                raise OverflowError(f"{_fmt(a)} {op} {_fmt(b)} overflows")
+            return value
 
         return binop
     raise TypeError(f"not an expression: {e!r}")

@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 from joinstate import semilinear
-from joinstate.checker import check_program, resolve_closure_types
+from joinstate.checker import check_program
 from joinstate.core import If, NewObj, Par
 from joinstate.desugar import load_program
+from joinstate.runtime import Soup
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 MANIFEST = json.loads((PROGRAMS / "manifest.json").read_text())
@@ -67,7 +68,7 @@ class TestCorpus:
     @pytest.mark.parametrize("rel", CORPUS)
     def test_each_question_is_computed_once_per_algebra(self, rel, monkeypatch):
         # Keyed by the algebra, so a question asked again of a new algebra
-        # (resolve_closure_types builds its own) is a new computation.
+        # (a soup builds its own) is a new computation.
         computed: Counter = Counter()
 
         def counted(fn, key):
@@ -90,7 +91,7 @@ class TestCorpus:
         path = PROGRAMS / rel
         program = load_program(path.read_text(), str(path))
         check_program(program)
-        resolve_closure_types(program)
+        Soup(program, monitors=False)
         assert computed
         assert [k for k, n in computed.items() if n > 1] == []
 

@@ -346,6 +346,68 @@ class TestRun:
         assert data["verdict"] == "RuntimeFault"
         assert data["violation"]
 
+    @pytest.mark.parametrize(
+        "cond,shown",
+        [
+            ("1", "1"),
+            ("a", "a@1"),
+        ],
+    )
+    def test_unchecked_condition_must_be_a_boolean(
+        self, tmp_path, capsys, cond, shown
+    ):
+        # Branching by Python truthiness took the then branch of both.
+        bad = tmp_path / "cond.cob"
+        bad.write_text(
+            "new a : *Ping [ Ping |> done ] in"
+            f" if {cond} then System!Print(1) else System!Print(2)"
+        )
+        assert main(["check", str(bad)]) == 1
+        assert "condition must be a boolean" in capsys.readouterr().err
+        assert main(["run", str(bad), "--no-typecheck"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (
+            "RuntimeFault (RuntimeError_: condition must be a boolean, "
+            f"got {shown}) after 0 steps" in err
+        )
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "N * N",
+            "N + N",
+            "0 - N - N",
+            "N / 0.1",
+            "(N * N) - (N * N)",
+        ],
+    )
+    def test_overflow_is_a_runtime_fault(self, tmp_path, capsys, expr):
+        # A float overflowed to inf (or nan) silently, and `--json` then
+        # wrote Infinity or NaN, which JSON does not allow.
+        bad = tmp_path / "overflow.cob"
+        bad.write_text(f"System!Print({expr.replace('N', '9' * 308)})")
+        assert main(["run", str(bad), "--json"]) == 5
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data["verdict"] == "RuntimeFault"
+        assert data["violation"].startswith("OverflowError: ")
+        assert data["outputs"] == []
+
+    def test_number_too_large_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.cob"
+        bad.write_text("System!Print(" + "9" * 400 + ")")
+        assert main(["run", str(bad), "--no-typecheck"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "joinstate: 1:14: number too large\n"
+        # The largest literal a float holds still reads as a number.
+        bad.write_text("System!Print(" + "9" * 308 + ")")
+        assert main(["run", str(bad)]) == 0
+
     def test_deep_nesting_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "deep.cob"
         bad.write_text(
@@ -368,6 +430,15 @@ class TestRun:
         events = json.loads(out.read_text())
         assert events and {"step", "kind", "obj", "tags", "detail"} <= set(events[0])
         assert any(e["kind"] == "print" for e in events)
+
+    def test_unwritable_trace_is_a_cantcreat_error(self, tmp_path, capsys):
+        # Writing the trace raised FileNotFoundError, a traceback and exit 1.
+        out = tmp_path / "missing" / "trace.json"
+        argv = ["run", path("accepted/future-user.cob"), "--trace-json", str(out)]
+        assert main(argv) == 73
+        err = capsys.readouterr().err
+        assert err == f"joinstate: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("JOINSTATE_SEED", "5")

@@ -22,13 +22,13 @@ from joinstate.semilinear import (
     live,
     parikh,
 )
-from joinstate.types import TypeAlgebra, normalize
+from joinstate.types import TypeAlgebra
 
 ALG = TypeAlgebra({})
 
 
 def t(src):
-    return normalize(parse_type(src))
+    return parse_type(src)
 
 
 class TestOracleDirect:
@@ -104,7 +104,7 @@ class TestEngineAgreement:
                 size = len(cex)
                 candidates = [
                     c
-                    for c in ALG.enumerate_configs(normalize(a), size)
+                    for c in ALG.enumerate_configs(a, size)
                     if len(c) == size
                 ]
                 assert not any(config_le(ALG, cex, c) for c in candidates), (
@@ -127,7 +127,7 @@ class TestEngineAgreement:
         # enumerable.
         rng = random.Random(7)
         for _ in range(60):
-            t = normalize(random_type(rng, depth=2))
+            t = random_type(rng, depth=2)
             alphabet = joint_alphabet(ALG, t)
             if not alphabet:
                 continue

@@ -13,7 +13,9 @@ from collections import Counter
 
 import pytest
 
-from joinstate.checker import check_program
+from joinstate import runtime
+from joinstate import types as ty
+from joinstate.checker import Checker, check_program, closure_decl
 from joinstate.cli import main
 from joinstate.core import BinOp, If, NewObj, Par, Send, Var
 from joinstate.desugar import load_program
@@ -756,8 +758,10 @@ class TestCheckSolution:
             pass
         assert soup._misfits is None
 
-    def test_unmonitored_run_looks_up_no_caps(self, monkeypatch):
-        # Without monitors or check_solution nothing reads an object's caps.
+    def test_caps_are_looked_up_once_per_node(self, monkeypatch):
+        # Each `new` node's caps are looked up when the soup compiles it,
+        # monitors on or off; no spawn looks them up again (714 lookups for
+        # these 2,000 monitored steps when each spawn did).
         calls = Counter()
 
         def counted(alg, t):
@@ -766,10 +770,11 @@ class TestCheckSolution:
 
         monkeypatch.setattr("joinstate.runtime.tag_caps", counted)
         program = load_file("accepted/sieve.cob")
-        result = run(program, seed=0, max_steps=2000, monitors=False)
-        assert result.steps == 2000 and calls["tag_caps"] == 0
-        run(program, seed=0, max_steps=200)
-        assert calls["tag_caps"] > 0
+        for monitors in (False, True):
+            calls.clear()
+            result = run(program, seed=0, max_steps=2000, monitors=monitors)
+            assert result.steps == 2000 and sum(result.created.values()) > 700
+            assert calls["tag_caps"] == len(new_nodes(program.process)) == 10
 
     # Two As against a strictly one-A protocol, run unmonitored: the
     # invariant fails at first and holds once an A & B pair has reacted.
@@ -819,6 +824,115 @@ class TestCheckSolution:
         assert calls["fits"] <= monitors_only + sum(result.created.values())
 
 
+def new_nodes(p) -> list[NewObj]:
+    """Every `new` node of a core process, in the order of the source."""
+    if isinstance(p, Par):
+        return [n for q in p.parts for n in new_nodes(q)]
+    if isinstance(p, If):
+        return new_nodes(p.then) + new_nodes(p.els)
+    if isinstance(p, NewObj):
+        rules = [n for r in p.rules for n in new_nodes(r.body)]
+        return [p] + rules + new_nodes(p.body)
+    return []
+
+
+def reference_decls(program):
+    """Reference walk: every object's, continuation's and rule variable's
+    declared type, by binder, declared over the whole program before it
+    runs.  A continuation's type is `closure_base` (1 where the checker
+    rejects it) with its captured names' declared types, and each rule's
+    variables are declared by `bind_pattern`."""
+    checker = Checker(program)
+    decls = checker.decls
+
+    def resolve(p):
+        if isinstance(p, Par):
+            for q in p.parts:
+                resolve(q)
+        elif isinstance(p, If):
+            resolve(p.then)
+            resolve(p.els)
+        elif isinstance(p, NewObj):
+            spec = p.closure
+            if spec is None:
+                decl = p.decl
+            else:
+                base = checker.closure_base(spec, p.pos) or ty.ONE
+                decl = closure_decl(
+                    base, tuple(decls.get(n, ty.ONE) for n in spec.captured)
+                )
+            decls[p.name] = decl
+            for rule in p.rules:
+                checker.bind_pattern(decl, rule.pattern, "rule", p.pos)
+                resolve(rule.body)
+            resolve(p.body)
+
+    resolve(program.process)
+    return decls
+
+
+CORPUS = sorted(str(p.relative_to(PROGRAMS)) for p in PROGRAMS.rglob("*.cob"))
+
+
+class TestOneWalk:
+    """A soup declares each object as it compiles its `new` node."""
+
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_instances_follow_their_binders_decl(self, rel, checked, monkeypatch):
+        program = load_file(rel)
+        if checked:
+            check_program(program)
+        reference = reference_decls(program)
+        checkers = []
+        resolve_closure_types = runtime.resolve_closure_types
+
+        def spied(checker, p):
+            checkers.append(checker)
+            return resolve_closure_types(checker, p)
+
+        monkeypatch.setattr(runtime, "resolve_closure_types", spied)
+        for monitors in (True, False):
+            checkers.clear()
+            soup = Soup(program, seed=1, monitors=monitors)
+            # The same declarations by binder, rule variables included.
+            assert {id(c) for c in checkers} == {id(checkers[0])}
+            assert checkers[0].decls == reference
+            seen = 0
+            while True:
+                if soup.steps in (0, 1, 10, 100):
+                    for inst in soup.instances:
+                        assert inst.decl == reference[inst.node.name], inst.oid
+                        assert inst.caps is tag_caps(soup.alg, inst.decl)
+                        seen += 1
+                if soup.violation is not None or soup.steps >= 100 or not soup.step():
+                    break
+            assert seen
+
+    @pytest.mark.parametrize("monitors", [True, False])
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_each_node_is_declared_once(self, rel, monitors, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("resolve_closure_types", "tag_caps"):
+            monkeypatch.setattr(runtime, name, counted(name, getattr(runtime, name)))
+        program = load_file(rel)
+        nodes = len(new_nodes(program.process))
+        soup = Soup(program, seed=0, monitors=monitors)
+        assert calls == {"resolve_closure_types": nodes, "tag_caps": nodes}
+        while soup.violation is None and soup.steps < 300 and soup.step():
+            pass
+        soup.check_solution()
+        assert calls == {"resolve_closure_types": nodes, "tag_caps": nodes}
+
+
 def free_names(node) -> set[int]:
     """Reference walk: the binder uids a core process or expression reads
     from outside itself."""
@@ -849,9 +963,7 @@ def rule_names(obj: NewObj) -> set[int]:
 class TestFlatEnvs:
     """Each object keeps only the names its rules read."""
 
-    @pytest.mark.parametrize(
-        "rel", sorted(str(p.relative_to(PROGRAMS)) for p in PROGRAMS.rglob("*.cob"))
-    )
+    @pytest.mark.parametrize("rel", CORPUS)
     def test_env_is_the_rules_free_names(self, rel):
         program = load_file(rel)
         soup = Soup(program, seed=1)

@@ -33,7 +33,7 @@ from .checker import Checker, check_program
 from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
 from .runtime import _fmt, run
-from .semilinear import SubtypeEngine, joint_alphabet, live, parikh
+from .semilinear import joint_alphabet, parikh
 from .types import TypeAlgebra, TypeDeclError, render
 
 EX_USAGE = 64

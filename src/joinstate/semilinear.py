@@ -43,7 +43,8 @@ without periods lends its base as a period to every component, and each
 subset of the components with periods, taken at least once, gives one.
 
 Liveness tests only each component's least configurations: its base, and
-its base plus one period (`live`).
+its base plus one period (`live`).  The monitors' caps and argument
+determinacy read one bound per slot (`_slot_bounds`), tag by tag.
 """
 
 from __future__ import annotations
@@ -232,18 +233,28 @@ def _star(body: list[LinearSet], n: int) -> list[LinearSet]:
     return _prune(out) if periodic else out
 
 
+def _slot_bounds(alg: TypeAlgebra, t: TypeExpr) -> Iterable[list[float]]:
+    """Per component of t's Parikh image, each slot's most messages in one
+    configuration: infinity when a period touches the slot, else the base's."""
+    for comp in parikh(alg, t, joint_alphabet(alg, t)):
+        bound: list[float] = list(comp.base)
+        for i, col in enumerate(zip(*comp.periods)):
+            if any(col):
+                bound[i] = math.inf
+        yield bound
+
+
 def tag_caps(alg: TypeAlgebra, t: TypeExpr) -> list[dict[str, float]]:
     """Per component of t's Parikh image, the most messages of each tag one
-    configuration holds: the base's count over the tag's slots, or infinity
-    when a period adds the tag.  Memoized on alg and shared: read-only."""
+    configuration holds: its slots' `_slot_bounds` summed.  Memoized on alg
+    and shared: read-only."""
     caps = alg.caps_memo.get(t)
     if caps is None:
         alphabet = joint_alphabet(alg, t)
         caps = alg.caps_memo[t] = []
-        for comp in parikh(alg, t, alphabet):
+        for bound in _slot_bounds(alg, t):
             cap: dict[str, float] = {}
-            for i, slot in enumerate(alphabet):
-                n = math.inf if any(p[i] for p in comp.periods) else comp.base[i]
+            for slot, n in zip(alphabet, bound):
                 cap[slot.tag] = cap.get(slot.tag, 0) + n
             caps.append(cap)
     return caps
@@ -413,11 +424,8 @@ class SubtypeEngine:
             # Only the zero vector; nullability was already checked.
             return True
         lists = [self._fits(i, alphabet, candidates) for i in used]
-        total = 1
-        for c in lists:
-            total *= len(c)
-            if total > 256:
-                return False
+        if math.prod(map(len, lists)) > 256:
+            return False
 
         def embeds(base: Vector, periods: frozenset[Vector]) -> bool:
             return any(_lies_in(base, periods, c, self._cones) for c in t_comps)
@@ -604,47 +612,38 @@ def arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerd
 
 
 def _arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVerdict:
+    """A tag taken k times has room sum(min(bound, k)) over its slots in a
+    component: below k no spread of its copies fits there, at k one (each
+    slot filled to min(bound, k)), above k two, as any spread leaves a slot
+    below min(bound, k) that a copy from another slot can move to.  Slots of
+    different tags are independent.  Determinate iff every component with
+    room for all tags has exactly k for each, and all agree on one spread
+    that puts each tag on one slot."""
     alphabet = joint_alphabet(alg, t)
-    n = len(alphabet)
     tag_slots = _tag_slots(alphabet)
     if any(tag not in tag_slots for tag in tags):
         return DEAD
-
-    # All ways of attributing each tag occurrence to a slot class.
-    per_tag: list[list[tuple[int, ...]]] = []
-    tag_order = sorted(tags)
-    for tag in tag_order:
-        k = tags[tag]
-        per_tag.append(
-            list(itertools.combinations_with_replacement(tag_slots[tag], k))
-        )
-    components = parikh(alg, t, alphabet)
-
-    feasible: set[tuple[int, ...]] = set()
-    for combo in itertools.product(*per_tag):
-        demand = [0] * n
-        for group in combo:
-            for i in group:
-                demand[i] += 1
-        for comp in components:
-            if all(
-                demand[i] <= comp.base[i]
-                or any(p[i] > 0 for p in comp.periods)
-                for i in range(n)
-            ):
-                feasible.add(tuple(demand))
-                break
-    if not feasible:
+    demand: dict[int, float] | None = None  # slot index -> copies, if any
+    for bound in _slot_bounds(alg, t):
+        fill, spare = {}, 0
+        for tag, k in tags.items():
+            room = 0
+            for i in tag_slots[tag]:
+                n = min(bound[i], k)
+                if n:
+                    fill[i] = n
+                    room += n
+            if room < k:
+                break  # no room for this tag: the others' room says nothing
+            spare += room - k
+        else:
+            if spare or (demand is not None and demand != fill):
+                return AMBIGUOUS
+            demand = fill
+    if demand is None:
         return DEAD
-    if len(feasible) > 1:
+    used = [alphabet[i] for i in demand]
+    assignment = {slot.tag: slot for slot in used}
+    if len(assignment) < len(used):
         return AMBIGUOUS
-    (demand,) = feasible
-    assignment: dict[str, Msg] = {}
-    for i, count in enumerate(demand):
-        if not count:
-            continue
-        slot = alphabet[i]
-        if slot.tag in assignment and assignment[slot.tag] != slot:
-            return AMBIGUOUS
-        assignment[slot.tag] = slot
     return ArgVerdict("determinate", assignment=assignment)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -270,6 +271,22 @@ class TestRuleDiagnostics:
             " in obj!A & obj!M(aux)"
         )
         assert "AmbiguousArgs" in report.codes()
+
+    def test_many_tags_with_several_slots(self):
+        # Five tags of three slots each, each taken four times by one rule.
+        tags = "ABCDE"
+        decl = "*(" + " + ".join(
+            f"{t} + {t}(#Number) + {t}(1 + Z)" for t in tags
+        ) + ")"
+        pattern = " & ".join(t for t in tags for _ in range(4))
+        start = time.perf_counter()
+        report = check_source(f"new o : {decl} [ {pattern} |> done ] in done")
+        assert time.perf_counter() - start < 0.1
+        counts = " & ".join(f"{t} x4" for t in tags)
+        assert [str(d) for d in report.diagnostics] == [
+            f"1:1: AmbiguousArgs: rule {pattern} of o#1: {counts}"
+            f" does not pin down argument types in {decl}"
+        ]
 
     def test_unusable_argument_type(self):
         report = check_source(

@@ -18,6 +18,7 @@ from joinstate.oracle import (
 )
 from joinstate.semilinear import (
     AMBIGUOUS,
+    ArgVerdict,
     DEAD,
     LinearSet,
     SubtypeEngine,
@@ -921,6 +922,49 @@ class TestLive:
         assert live(alg, t, [{"M": 2}])
 
 
+def reference_arg_determinate(alg, t, tags):
+    """Argument determinacy as it was first written: every way of taking
+    each tag's copies from its slots, the product over tags, each demand
+    vector tried against every component."""
+    alphabet = joint_alphabet(alg, t)
+    n = len(alphabet)
+    tag_slots = _tag_slots(alphabet)
+    if any(tag not in tag_slots for tag in tags):
+        return DEAD
+    per_tag = [
+        list(itertools.combinations_with_replacement(tag_slots[tag], tags[tag]))
+        for tag in sorted(tags)
+    ]
+    components = parikh(alg, t, alphabet)
+    feasible = set()
+    for combo in itertools.product(*per_tag):
+        demand = [0] * n
+        for group in combo:
+            for i in group:
+                demand[i] += 1
+        for comp in components:
+            if all(
+                demand[i] <= comp.base[i] or any(p[i] > 0 for p in comp.periods)
+                for i in range(n)
+            ):
+                feasible.add(tuple(demand))
+                break
+    if not feasible:
+        return DEAD
+    if len(feasible) > 1:
+        return AMBIGUOUS
+    (demand,) = feasible
+    assignment = {}
+    for i, count in enumerate(demand):
+        if not count:
+            continue
+        slot = alphabet[i]
+        if slot.tag in assignment and assignment[slot.tag] != slot:
+            return AMBIGUOUS
+        assignment[slot.tag] = slot
+    return ArgVerdict("determinate", assignment=assignment)
+
+
 class TestArgDeterminate:
     def setup_method(self):
         self.alg = TypeAlgebra()
@@ -942,3 +986,33 @@ class TestArgDeterminate:
         t = Star(msg("Get", msg("Reply", NUMBER)))
         v = arg_determinate(self.alg, t, {"Get": 2})
         assert v.kind == "determinate"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_reference(self, seed):
+        # The types of TestTagCaps; most multisets take the type's own tags,
+        # as a rule's pattern does, the rest any of TestTagCaps.TAGS.
+        rng = random.Random(seed)
+        alg = TypeAlgebra()
+        kinds = set()
+        for _ in range(1500):
+            t = TestTagCaps.random_type(rng)
+            own = sorted({m.tag for m in alg.heads(t)})
+            pool = own if own and rng.random() < 0.8 else TestTagCaps.TAGS
+            chosen = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            tags = {tag: rng.randint(1, 3) for tag in chosen}
+            v = arg_determinate(alg, t, tags)
+            ref = reference_arg_determinate(alg, t, tags)
+            assert (v.kind, v.assignment) == (ref.kind, ref.assignment), (t, tags)
+            kinds.add(v.kind)
+        assert kinds == {"determinate", "ambiguous", "dead"}
+
+    def test_infeasible_component_is_not_ambiguous(self):
+        # M . M(#Number) . B  +  A: the first component has room for M twice
+        # but none for A, the second none for M.
+        t = Sum((Prod((M, msg("M", NUMBER), B)), A))
+        assert arg_determinate(self.alg, t, {"M": 1, "A": 1}) is DEAD
+
+    def test_forced_spread_over_two_slots(self):
+        # M . M(#Number): M taken twice fills both slots, one copy each.
+        t = Prod((M, msg("M", NUMBER)))
+        assert arg_determinate(self.alg, t, {"M": 2}) is AMBIGUOUS

@@ -3,7 +3,8 @@
 Exit codes:
   check    0 accepted, 1 rejected
   run      0 Terminated, 2 MonitorViolation, 3 Deadlocked,
-           4 StepBudgetExhausted (not a failure: some programs are
+           4 StepBudgetExhausted (a reaction is still enabled after
+           --max-steps steps; not a failure: some programs are
            intentionally infinite), 5 RuntimeFault, 1 rejected by the
            type checker, 73 when the --trace-json file cannot be written
   fuzz     0 if the summary assertion holds, 1 otherwise
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--expect-violation", action="store_true",
                         help="the program is known bad; assert it misbehaves")
     p_fuzz.add_argument("--check-solution", action="store_true",
-                        help="verify the residual-usability invariant per step")
+                        help="test each mailbox's per-tag counts against its "
+                             "declared type's caps after every step")
     return parser
 
 

@@ -189,7 +189,7 @@ def enabled_reactions(soup) -> list[tuple]:
     pattern.  A selection is a frozenset of (message, copies) pairs, so
     equal payloads count once and each triple is listed once."""
     out = []
-    for inst in soup.instances:
+    for inst in soup.instances.values():
         msgs = [
             msg
             for group in inst.mailbox.values()
@@ -228,7 +228,7 @@ def reaction(soup, index: int) -> tuple:
     Returns the object, the rule index, and the selection as (message,
     copies) pairs, for checking `Soup.fire`, which decodes in one pass."""
     r = index
-    for inst in soup.instances:
+    for inst in soup.instances.values():
         total = sum(inst.weights)
         if r < total:
             break

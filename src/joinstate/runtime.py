@@ -18,11 +18,22 @@ the count in O(k) instead of recounting every payload; a firing decodes
 its pick from a copy of the same polynomial.  An object's env holds only
 its rules' free names; a firing copies it into a frame of its own.
 
-Optional monitors ask, of each object whose mailbox changed, whether the
+The soup holds only objects that can still act, and those quiescence
+reads.  Between steps, once it holds 1.5 times what the last collection
+kept (and at least 256 objects), it drops every object that no object
+holding a message reaches through the ids in envs and payloads: a
+reaction sends only to what its object's env and messages name, or to
+what it creates (Kafura, Washabaugh & Nelson 1990).  A dropped object
+holds no message, so its weight is already 0 and no draw changes.  An
+object whose declared type is not nullable is kept.  Every object holding
+no message shares one empty mailbox.
+
+Optional monitors ask, of each object whose mailbox grew, whether the
 per-tag message counts that `deliver` and `fire` keep fit its declared
 type's caps (`semilinear.fits`), which `_compile` looks up once per `new`
-node.  If not, the program has broken its protocol and the run stops.
-When no reaction is enabled the run has quiesced.  It is a deadlock if
+node; a mailbox that only shrank still fits.  If not, the program has
+broken its protocol and the run stops.  When no reaction is enabled the
+run has quiesced, even on its last allowed step.  It is a deadlock if
 some leftover message carries an object at an argument that a slot of its
 tag and arity marks as relevant: somebody waits forever.
 Otherwise, with monitors on, the declared type derived by each mailbox's
@@ -42,7 +53,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import types as ty
 from .checker import Checker, resolve_closure_types
@@ -90,11 +101,13 @@ NUMBER_ID = ObjId(-2, "Number")
 
 # A message is (tag, argument values); mailboxes collapse equal payloads.
 Message = tuple[str, tuple[Value, ...]]
-# Binder uid -> value.  An object's env is never written, and those of
-# objects whose rules read no outer name are one _NO_NAMES; a frame belongs
+# Binder uid -> value.  An object's env is never written; a frame belongs
 # to one firing, or to the soup's start, and `spawn` binds in it in place.
 Env = dict[int, Value]
-_NO_NAMES: Env = {}
+# The one env of every object whose rules read no outer name, and the one
+# mailbox and counts of every object holding no message.  Never written:
+# `deliver` gives an empty mailbox dicts of its own.
+_EMPTY: dict = {}
 ProcCode = Callable[["Soup", Env], None]
 
 
@@ -118,9 +131,9 @@ class Instance:
     # when no rule takes a tag twice.
     picks: Optional[dict[str, list[int]]]
     # tag -> distinct message -> multiplicity; tags with no messages absent.
-    mailbox: dict[str, dict[Message, int]] = field(default_factory=dict)
+    mailbox: dict[str, dict[Message, int]]
     # tag -> number of messages, copies counted; kept beside the mailbox.
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
 
     def tags(self) -> list[str]:
         """The mailbox's tags, one per message, sorted."""
@@ -188,6 +201,11 @@ def _arity_fault(tag: str, args: tuple, params: list) -> RuntimeError_:
 # ValueError), overflow, and sends to methods the builtin objects lack.
 RUNTIME_FAULTS = (ArithmeticError, ValueError, RuntimeError_)
 
+# The fewest held objects that start a collection; after one, the soup
+# collects again once it holds 1.5 times what that one kept, so the walks
+# cost O(1) amortized per object created.
+_MIN_COLLECT = 256
+
 
 class Soup:
     def __init__(
@@ -204,16 +222,21 @@ class Soup:
         self.tracing = trace
         self.trace: list[TraceEvent] = []
         self.outputs: list[float] = []
-        # Indexed by serial - 1.
-        self.instances: list[Instance] = []
+        # Serial -> object, in serial order: every object that can still
+        # act, and maybe some that cannot, until the next collection.
+        self.instances: dict[int, Instance] = {}
+        self._serial = 0
+        # Collect once this many objects are held.
+        self._collect_at = _MIN_COLLECT
         self.created: dict[str, int] = {}
         self.steps = 0
         self.violation: Optional[str] = None
         # Each object's total selection count, indexed by serial; objects
         # whose mailbox changed are re-weighed in settle().
         self._enabled = _Fenwick()
-        # An ordered set, so monitors run in a seed-determined order.
-        self._touched: dict[Instance, None] = {}
+        # Object -> whether its mailbox grew; ordered, so monitors run in a
+        # seed-determined order.
+        self._touched: dict[Instance, bool] = {}
         # Objects whose mailbox does not fit their protocol, kept by spawn
         # and settle from the first check_solution call on (None before).
         self._misfits: Optional[set[Instance]] = None
@@ -239,14 +262,16 @@ class Soup:
         copies of to its largest k, and bind it in the frame env, which
         its body runs in.  It keeps only the entries for free, the names
         its rules read."""
-        oid = ObjId(len(self.instances) + 1, node.name.text)
+        self._serial += 1
+        oid = ObjId(self._serial, node.name.text)
         env[node.name.uid] = oid
         inst = Instance(
-            oid, node, {uid: env[uid] for uid in free} if free else _NO_NAMES,
+            oid, node, {uid: env[uid] for uid in free} if free else _EMPTY,
             rules, decl, caps, [0] * len(rules),
             {tag: [1] + [0] * k for tag, k in multi.items()} if multi else None,
+            _EMPTY, _EMPTY,
         )
-        self.instances.append(inst)
+        self.instances[self._serial] = inst
         if self._misfits is not None and not fits(inst.caps, inst.counts):
             self._misfits.add(inst)
         self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
@@ -269,11 +294,14 @@ class Soup:
     def deliver(self, target: Value, msg: Message):
         if not isinstance(target, ObjId) or target.serial < 1:
             raise RuntimeError_(f"message {msg[0]} sent to non-object {target!r}")
-        inst = self.instances[target.serial - 1]
+        inst = self.instances[target.serial]
         tag = msg[0]
-        msgs = inst.mailbox.get(tag)
-        if msgs is None:
-            inst.mailbox[tag] = {msg: 1}
+        mailbox = inst.mailbox
+        if not mailbox:
+            inst.mailbox, inst.counts = {tag: {msg: 1}}, {tag: 1}
+            copies = 1
+        elif (msgs := mailbox.get(tag)) is None:
+            mailbox[tag] = {msg: 1}
             inst.counts[tag] = copies = 1
         else:
             copies = msgs.get(msg, 0) + 1
@@ -281,15 +309,18 @@ class Soup:
             inst.counts[tag] += 1
         if inst.picks and tag in inst.picks:
             _regroup(inst.picks[tag], copies - 1, copies)
-        self._touched[inst] = None
+        self._touched[inst] = True
 
     # --- reactions ----------------------------------------------------------
 
     def settle(self):
         """Re-weigh the objects whose mailbox changed, and run monitors and
-        the check_solution test on them: one `fits` call each."""
+        the check_solution test on them: one `fits` call each, skipped for
+        a mailbox that only shrank and fitted, as `fits` is downward
+        closed."""
         misfits = self._misfits
-        for inst in self._touched:
+        tested = misfits is not None or self.monitors
+        for inst, grew in self._touched.items():
             mailbox, picks, weights = inst.mailbox, inst.picks, inst.weights
             delta = 0
             for i, (takes, _, _) in enumerate(inst.rules):
@@ -305,7 +336,9 @@ class Soup:
                     weights[i] = w
             if delta:
                 self._enabled.add(inst.oid.serial, delta)
-            if (misfits is None and not self.monitors) or fits(inst.caps, inst.counts):
+            if not tested or not (grew or (misfits and inst in misfits)):
+                continue
+            if fits(inst.caps, inst.counts):
                 if misfits:
                     misfits.discard(inst)
                 continue
@@ -339,7 +372,7 @@ class Soup:
                 pos = nxt
                 r -= tree[nxt]
             bit >>= 1
-        inst = self.instances[pos]
+        inst = self.instances[pos + 1]
         rule_idx = 0
         for w in inst.weights:
             if r < w:
@@ -397,9 +430,8 @@ class Soup:
                 else:
                     del mailbox[tag], counts[tag]
         if not mailbox:  # A dict keeps its table after its last key goes.
-            mailbox.clear()
-            counts.clear()
-        self._touched[inst] = None
+            inst.mailbox = inst.counts = _EMPTY
+        self._touched[inst] = False
 
         if tracing:
             self.emit(
@@ -414,12 +446,58 @@ class Soup:
         self.settle()
 
     def step(self) -> bool:
-        """Fire one reaction drawn uniformly from the enabled ones; False
-        when the soup has quiesced."""
+        """Fire one reaction drawn uniformly from the enabled ones, then
+        collect if the soup holds enough objects; False when the soup has
+        quiesced."""
         if not self._enabled.total:
             return False
         self.fire(self.rng.randrange(self._enabled.total))
+        if len(self.instances) >= self._collect_at:
+            self.collect()
         return True
+
+    # --- collection ---------------------------------------------------------
+
+    def reachable(self, roots: Iterable[Instance]) -> set[int]:
+        """The serials of the held objects that the given objects reach,
+        themselves included, through the object ids in envs and in mailbox
+        payloads."""
+        instances = self.instances
+        seen: set[int] = set()
+        todo = [inst.oid.serial for inst in roots]
+        while todo:
+            serial = todo.pop()
+            # System and Number are not held, nor what a kept unreachable
+            # object names.
+            if serial in seen or (inst := instances.get(serial)) is None:
+                continue
+            seen.add(serial)
+            for v in inst.env.values():
+                if v.__class__ is ObjId and v.serial not in seen:
+                    todo.append(v.serial)
+            for msgs in inst.mailbox.values():
+                for _, args in msgs:
+                    for v in args:
+                        if v.__class__ is ObjId and v.serial not in seen:
+                            todo.append(v.serial)
+        return seen
+
+    def collect(self):
+        """Drop every object that no reaction can reach again: those that
+        no object holding a message reaches (a reaction only sends to what
+        its object's env and messages name, or to what it creates).  An
+        object whose declared type is not nullable stays, so that `quiesce`
+        still finds it short of a configuration.  A dropped object holds no
+        message, so its weight is already 0 and no draw changes."""
+        held, nullable = self.instances, self.alg.nullable
+        live = self.reachable([inst for inst in held.values() if inst.mailbox])
+        # Asked here rather than once per `new` node when the soup is built,
+        # so a run that never collects never asks; memoized by term.
+        self.instances = {
+            serial: inst for serial, inst in held.items()
+            if serial in live or not nullable(inst.decl)
+        }
+        self._collect_at = max(_MIN_COLLECT, len(self.instances) * 3 // 2)
 
     # --- end states ---------------------------------------------------------
 
@@ -429,7 +507,7 @@ class Soup:
         the message's tag and arity.  Nonempty at quiescence means
         deadlock."""
         alg, out = self.alg, []
-        for inst in self.instances:
+        for inst in self.instances.values():
             mailbox = inst.mailbox
             if mailbox and any(
                 isinstance(args[i], ObjId)
@@ -447,7 +525,7 @@ class Soup:
         type derived by its tags is not nullable) is a violation."""
         stuck = self.stuck_objects()
         for oid in stuck:
-            inst = self.instances[oid.serial - 1]
+            inst = self.instances[oid.serial]
             self.emit(
                 "deadlock",
                 repr(oid),
@@ -457,7 +535,7 @@ class Soup:
         if stuck or not self.monitors:
             return stuck
         alg = self.alg
-        for inst in self.instances:
+        for inst in self.instances.values():
             if not alg.nullable(alg.derivative_config(inst.decl, inst.tags())):
                 self.violation = (
                     f"{inst.oid!r} ends with messages "
@@ -470,10 +548,13 @@ class Soup:
     def check_solution(self) -> bool:
         """Whether every object's mailbox still fits its protocol: the
         re-typing invariant the scheduler is expected to preserve.  The
-        first call tests every object; from then on spawn and settle test
-        each new and each touched one, so a call only reads the answer."""
+        first call tests every object; from then on spawn tests each new
+        one and settle each one whose mailbox grew or did not fit, so a
+        call only reads the answer."""
         if self._misfits is None:
-            self._misfits = {i for i in self.instances if not fits(i.caps, i.counts)}
+            self._misfits = {
+                i for i in self.instances.values() if not fits(i.caps, i.counts)
+            }
         return not self._misfits
 
 
@@ -486,15 +567,18 @@ def run(
     check_solution: bool = False,
 ) -> RunResult:
     """Run program from seed until it quiesces, a monitor or fault stops
-    it, or max_steps steps have fired.  With check_solution, the soup's
-    re-typing invariant is tested on the initial soup and after every step
-    until it first fails."""
+    it, or max_steps steps have fired and a step is still enabled.  With
+    check_solution, the soup's re-typing invariant is tested on the initial
+    soup and after every step until it first fails."""
     soup: Optional[Soup] = None
     verdict, stuck, failed = "StepBudgetExhausted", [], False
     try:
         soup = Soup(program, seed=seed, monitors=monitors, trace=trace)
         failed = check_solution and not soup.check_solution()
-        while soup.violation is None and soup.steps < max_steps:
+        while soup.violation is None:
+            # A soup that quiesced on its last allowed step is judged.
+            if soup.steps >= max_steps and soup.enabled_count():
+                break
             if not soup.step():
                 stuck = soup.quiesce()
                 verdict = "Deadlocked" if stuck else "Terminated"

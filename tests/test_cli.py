@@ -262,6 +262,27 @@ class TestRun:
         ])
         assert code == 4
 
+    # A soup that quiesces on its last allowed step gets the verdict it
+    # gets with no budget, not StepBudgetExhausted.
+    @pytest.mark.parametrize(
+        "rel,steps,code,verdict",
+        [
+            ("accepted/future-user.cob", 3, 0, "Terminated"),
+            ("rejected/future-user-deadlock.cob", 1, 3,
+             "Deadlocked (future@1, user@2)"),
+            ("rejected/mutual-dependency.cob", 0, 3, "Deadlocked (obj1@1, obj2@2)"),
+        ],
+    )
+    def test_quiescence_on_the_last_allowed_step(
+        self, capsys, rel, steps, code, verdict
+    ):
+        argv = ["run", path(rel), "--no-typecheck"]
+        assert main(argv) == code
+        unbudgeted = capsys.readouterr().err.splitlines()[-1]
+        assert unbudgeted == f"verdict: {verdict} after {steps} steps"
+        assert main([*argv, "--max-steps", str(steps)]) == code
+        assert capsys.readouterr().err.splitlines()[-1] == unbudgeted
+
     def test_monitor_violation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cob"
         bad.write_text("new obj : A · B [ A & B |> done ] in obj!A & obj!A & obj!B")

@@ -84,6 +84,26 @@ class TestBasics:
         assert result.verdict == "StepBudgetExhausted"
         assert result.steps == 50
 
+    @pytest.mark.parametrize(
+        "rel,steps,verdict",
+        [
+            ("accepted/future-user.cob", 3, "Terminated"),
+            ("rejected/future-user-deadlock.cob", 1, "Deadlocked"),
+            ("rejected/mutual-dependency.cob", 0, "Deadlocked"),
+        ],
+    )
+    def test_quiescing_on_the_last_allowed_step(self, rel, steps, verdict):
+        # Quiescence is judged before the budget, with or without a trace.
+        program = load_file(rel)
+        for trace in (False, True):
+            free = run(program, seed=0, trace=trace)
+            budgeted = run(program, seed=0, max_steps=steps, trace=trace)
+            assert (free.verdict, free.steps) == (verdict, steps)
+            assert budgeted == free
+        if steps:
+            short = run(program, seed=0, max_steps=steps - 1)
+            assert short.verdict == "StepBudgetExhausted"
+
     def test_trace_format(self):
         result = run_source(
             "new obj : *Ping(#Number) [ Ping(n) |> System!Print(n) ]"
@@ -276,7 +296,7 @@ class TestUniformity:
                 for i in range(soup.enabled_count()):
                     inst, mailbox, bound = self.reference_fire(soup, i)
                     twin = copy.deepcopy(soup)
-                    fired = twin.instances[inst.oid.serial - 1]
+                    fired = twin.instances[inst.oid.serial]
                     envs = []
                     fired.rules = [
                         (takes, lambda soup, env: envs.append(env), label)
@@ -647,7 +667,7 @@ class TestMonitors:
             soup = Soup(program, seed=seed)
             alg = soup.alg
             while True:
-                for inst in soup.instances:
+                for inst in soup.instances.values():
                     expected = alg.usable(
                         alg.derivative_config(inst.decl, inst.tags())
                     )
@@ -680,6 +700,23 @@ class TestMonitors:
         assert result.verdict == "Terminated"
         assert (result.steps, len(result.outputs)) == (2251, 750)
         assert calls["derivative"] <= 5
+
+    def test_draining_mailbox_is_tested_once(self, monkeypatch):
+        # `fits` is downward closed, so a mailbox that only shrank and
+        # fitted still fits: 100 firings make no test after the first.
+        calls = Counter()
+
+        def counted(caps, counts):
+            calls["fits"] += 1
+            return fits(caps, counts)
+
+        monkeypatch.setattr("joinstate.runtime.fits", counted)
+        result = run_source(
+            "new o : *A(#Number) [ A(n) |> done ] in "
+            + " & ".join(f"o!A({n})" for n in range(100))
+        )
+        assert (result.verdict, result.steps) == ("Terminated", 100)
+        assert calls["fits"] == 1
 
     def test_monitors_can_be_disabled(self):
         result = run_source(
@@ -798,11 +835,18 @@ class TestCheckSolution:
                 pass
             expected = all(
                 soup.alg.usable(soup.alg.derivative_config(inst.decl, inst.tags()))
-                for inst in soup.instances
+                for inst in soup.instances.values()
             )
             assert soup.check_solution() == expected
             answers.add(expected)
         assert answers == {src != self.BREACH or steps > 0}
+
+    def test_a_misfit_that_shrinks_is_tested_again(self):
+        # A mailbox that only shrank is tested again when it did not fit.
+        soup = Soup(load_program(self.BREACH), seed=0, monitors=False)
+        assert not soup.check_solution()
+        assert soup.step()
+        assert soup.check_solution()
 
     def test_only_changed_objects_are_derived_again(self, monkeypatch):
         # Rechecking every object after every step made a run quadratic in
@@ -901,7 +945,7 @@ class TestOneWalk:
             seen = 0
             while True:
                 if soup.steps in (0, 1, 10, 100):
-                    for inst in soup.instances:
+                    for inst in soup.instances.values():
                         assert inst.decl == reference[inst.node.name], inst.oid
                         assert inst.caps is tag_caps(soup.alg, inst.decl)
                         seen += 1
@@ -970,13 +1014,14 @@ class TestFlatEnvs:
         seen = 0
         while True:
             if soup.steps in (0, 1, 3, 10, 100, 1000):
-                for inst in soup.instances:
+                for inst in soup.instances.values():
                     assert set(inst.env) == rule_names(inst.node), inst.oid
                     if inst.node.name.uid in inst.env:
                         assert inst.env[inst.node.name.uid] is inst.oid
                     seen += 1
                 # Objects whose rules read no outer name share one mapping.
-                assert len({id(i.env) for i in soup.instances if not i.env}) <= 1
+                empty = {id(i.env) for i in soup.instances.values() if not i.env}
+                assert len(empty) <= 1
             if soup.violation is not None or soup.steps >= 1000 or not soup.step():
                 break
         assert seen
@@ -985,7 +1030,7 @@ class TestFlatEnvs:
         soup = Soup(load_file("accepted/pi.cob"), seed=1)
         while soup.steps < 500 and soup.step():
             pass
-        workers = [i for i in soup.instances if i.oid.text == "this"]
+        workers = [i for i in soup.instances.values() if i.oid.text == "this"]
         assert workers and all(i.env == {} for i in workers)
 
     def test_rule_reading_an_outer_object(self):
@@ -1010,3 +1055,151 @@ class TestFlatEnvs:
             tracemalloc.stop()
         assert result.verdict == "Terminated"
         assert peak < 4 << 20, peak
+
+
+def reference_reachable(soup) -> set[runtime.ObjId]:
+    """Reference walk: the ids of the objects holding a message, and of
+    every object that the env or a payload of a reached object names."""
+    by_id = {inst.oid: inst for inst in soup.instances.values()}
+    todo = [oid for oid, inst in by_id.items() if inst.tags()]
+    seen = set()
+    while todo:
+        oid = todo.pop()
+        if oid in seen or oid.serial < 1:  # System and Number are no objects
+            continue
+        seen.add(oid)
+        inst = by_id.get(oid)
+        if inst is not None:
+            names = list(inst.env.values()) + [
+                v for msgs in inst.mailbox.values() for _, args in msgs for v in args
+            ]
+            todo += [v for v in names if isinstance(v, runtime.ObjId)]
+    return seen
+
+
+def fenwick_weight(soup, serial) -> int:
+    """The weight the soup's Fenwick tree holds at serial."""
+    tree = soup._enabled.tree
+
+    def prefix(i):
+        total = 0
+        while i:
+            total += tree[i]
+            i -= i & -i
+        return total
+
+    return prefix(serial) - prefix(serial - 1) if serial < len(tree) else 0
+
+
+class TestCollection:
+    """Between steps the soup drops every object no reaction can reach."""
+
+    @pytest.mark.parametrize("min_collect", [1, runtime._MIN_COLLECT])
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_held_objects_cover_the_reachable_ones(
+        self, rel, min_collect, monkeypatch
+    ):
+        monkeypatch.setattr(runtime, "_MIN_COLLECT", min_collect)
+        collect, dropped = Soup.collect, []
+
+        def checked(soup):
+            before = dict(soup.instances)
+            collect(soup)
+            for serial, inst in before.items():
+                if serial not in soup.instances:
+                    # Nothing it could still do, and nothing quiesce reads.
+                    assert not inst.mailbox and not any(inst.weights)
+                    assert fenwick_weight(soup, serial) == 0
+                    assert soup.alg.nullable(inst.decl)
+                    dropped.append(inst)
+
+        monkeypatch.setattr(Soup, "collect", checked)
+        program = load_file(rel)  # rejected programs run unchecked
+        for seed in range(2):
+            soup = Soup(program, seed=seed, monitors=False)
+            while True:
+                if soup.steps in (0, 1, 10, 100, 1000, 3000):
+                    held = soup.instances.keys()
+                    assert {o.serial for o in reference_reachable(soup)} <= held
+                if soup.steps >= 3000 or not soup.step():
+                    break
+        if min_collect == 1 and rel in ("accepted/pi.cob", "accepted/sieve.cob"):
+            assert len(dropped) > 1000
+
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_collection_changes_no_run(self, rel, monkeypatch):
+        program = load_file(rel)
+        max_steps = 3000 if "sieve" in rel else 100_000
+        results = []
+        for min_collect in (1, 1 << 62):
+            monkeypatch.setattr(runtime, "_MIN_COLLECT", min_collect)
+            results.append([
+                run(program, seed=seed, max_steps=max_steps, trace=True,
+                    check_solution=True)
+                for seed in range(3)
+            ])
+        assert results[0] == results[1]
+
+    def test_empty_mailboxes_share_one_mapping(self):
+        # Two empty dicts per object took 0.59 MB at pi's peak.
+        soup = Soup(load_file("accepted/pi.cob"), seed=1)
+        while soup.steps < 3000:
+            assert soup.step()
+            if soup.steps % 100 == 0:
+                empty = [i for i in soup.instances.values() if not i.tags()]
+                assert empty
+                assert len({id(d) for i in empty for d in (i.mailbox, i.counts)}) == 1
+
+    def test_sieve_holds_few_unreachable_objects(self):
+        soup = Soup(load_file("accepted/sieve.cob"), seed=1)
+        while soup.steps < 20_000:
+            assert soup.step()
+        assert sum(soup.created.values()) > 5000
+        assert len(soup.instances) <= 3 * len(reference_reachable(soup))
+
+    # `lost` is never sent the A its type demands, and nobody can reach it;
+    # the ticker's garbage makes the soup collect many times.
+    UNREACHABLE_DEBTOR = (
+        "new lost : A [ A |> done ] in"
+        " new t : *T(#Number) [ T(n) |> if n = 0 then done"
+        " else new g : *G [ G |> done ] in t!T(n - 1) ] in t!T(2000)"
+    )
+
+    def test_unreachable_object_short_of_its_protocol_is_kept(self, monkeypatch):
+        collections = Counter()
+        collect = Soup.collect
+
+        def counted(soup):
+            collections["collect"] += 1
+            collect(soup)
+
+        monkeypatch.setattr(Soup, "collect", counted)
+        program = load_program(self.UNREACHABLE_DEBTOR)
+        assert check_program(program).verdict == "rejected"
+        result = run(program, seed=0)
+        assert collections["collect"] >= 5
+        assert result.verdict == "MonitorViolation"
+        assert result.violation == (
+            "lost@1 ends with messages [], short of a whole configuration"
+            " of its protocol A"
+        )
+
+    @pytest.mark.parametrize(
+        "rel,max_steps,limit",
+        [
+            ("accepted/pi.cob", 100_000, 3 << 20),
+            ("accepted/sieve.cob", 20_000, 1 << 20),
+        ],
+    )
+    def test_memory_follows_the_live_objects(self, rel, max_steps, limit):
+        # Holding every object ever created peaked at 3.26 MB for pi and
+        # 2.76 MB for 20,000 sieve steps.
+        program = load_file(rel)
+        tracemalloc.start()
+        try:
+            result = run(program, seed=1, max_steps=max_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict in ("Terminated", "StepBudgetExhausted")
+        assert peak < limit, peak

@@ -609,6 +609,9 @@ class Checker:
 
     def run(self) -> Report:
         self.check_process(self.program.process, {})
+        # Each diagnostic once: `closure_base` and `check_send` both resolve
+        # the slots of a synchronous call's send.
+        self.report.diagnostics = list(dict.fromkeys(self.report.diagnostics))
         return self.report
 
 

@@ -33,7 +33,7 @@ from collections import Counter
 from .checker import Checker, check_program
 from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
-from .runtime import _fmt, run
+from .runtime import Plan, _fmt, run
 from .semilinear import joint_alphabet, parikh
 from .types import TypeAlgebra, TypeDeclError, render
 
@@ -167,33 +167,23 @@ def cmd_run(args) -> int:
         if report.verdict == "rejected":
             _print_diagnostics(report)
             return 1
-    result = run(
-        program,
-        seed=_seed(args),
-        max_steps=args.max_steps,
-        monitors=args.monitors == "on",
-        trace=args.trace_json is not None,
-    )
-    if args.trace_json:
-        events = [vars(e) for e in result.trace]
-        try:
-            args.trace_json.write_text(json.dumps(events, indent=2))
-        except OSError as exc:
-            print(f"joinstate: cannot write {args.trace_json}: {exc.strerror}",
-                  file=sys.stderr)
-            return EX_CANTCREAT
+    seed = _seed(args)
+    # Opened before the run, so a path that cannot be written fails at once.
+    try:
+        trace_file = args.trace_json and args.trace_json.open("w")
+        result = run(program, seed=seed, max_steps=args.max_steps,
+                     monitors=args.monitors == "on", trace=bool(trace_file))
+        if trace_file:
+            with trace_file:
+                events = [vars(e) for e in result.trace]
+                trace_file.write(json.dumps(events, indent=2))
+    except OSError as exc:
+        print(f"joinstate: cannot write {args.trace_json}: {exc.strerror}",
+              file=sys.stderr)
+        return EX_CANTCREAT
     if args.json:
-        print(json.dumps(
-            {
-                "verdict": result.verdict,
-                "steps": result.steps,
-                "outputs": result.outputs,
-                "deadlocked": result.deadlocked,
-                "violation": result.violation,
-                "created": result.created,
-            },
-            indent=2,
-        ))
+        keys = ("verdict", "steps", "outputs", "deadlocked", "violation", "created")
+        print(json.dumps({key: getattr(result, key) for key in keys}, indent=2))
     else:
         for value in result.outputs:
             print(_fmt(value))
@@ -304,23 +294,17 @@ def cmd_fuzz(args) -> int:
             file=sys.stderr,
         )
         return 1
-    monitors = args.monitors == "on"
+    plan = Plan(program)
     verdicts: Counter = Counter()
-    violations = 0
     invariant_failures = 0
     first = _seed(args)
     for seed in range(first, first + args.seeds):
-        result = run(
-            program,
-            seed=seed,
-            max_steps=args.max_steps,
-            monitors=monitors,
-            check_solution=args.check_solution,
-        )
+        result = run(plan, seed=seed, max_steps=args.max_steps,
+                     monitors=args.monitors == "on", check_solution=args.check_solution)
         verdicts[result.verdict] += 1
         invariant_failures += result.invariant_failed
-        if result.verdict in ("MonitorViolation", "Deadlocked", "RuntimeFault"):
-            violations += 1
+    bad = ("MonitorViolation", "Deadlocked", "RuntimeFault")
+    violations = sum(verdicts[verdict] for verdict in bad)
     if args.expect_violation:
         ok = violations == args.seeds
     else:

@@ -196,7 +196,7 @@ def enabled_reactions(soup) -> list[tuple]:
             for msg, copies in group.items()
             for _ in range(copies)
         ]
-        for rule_idx, rule in enumerate(inst.node.rules):
+        for rule_idx, rule in enumerate(inst.kind.node.rules):
             want = Counter(p.tag for p in rule.pattern)
             selections = {
                 frozenset(Counter(combo).items())
@@ -238,7 +238,7 @@ def reaction(soup, index: int) -> tuple:
             break
         r -= w
     selection = []
-    for tag, k, _ in inst.rules[rule_idx][0]:
+    for tag, k, _ in inst.kind.rules[rule_idx][0]:
         msgs = inst.mailbox[tag]
         if k == 1:
             r, j = divmod(r, len(msgs))

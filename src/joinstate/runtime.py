@@ -16,7 +16,10 @@ times keeps, per object and tag, the ways to take m <= k messages as a
 polynomial truncated after x^k, so a delivery or a consumption updates
 the count in O(k) instead of recounting every payload; a firing decodes
 its pick from a copy of the same polynomial.  An object's env holds only
-its rules' free names; a firing copies it into a frame of its own.
+its rules' free names; a firing copies it into a frame of its own.  A
+`Plan` compiles a program once (`joinstate fuzz` runs every seed on one),
+into one `Kind` per `new` node that every object the node spawns shares,
+so an `Instance` holds only run state.
 
 The soup holds only objects that can still act, and those quiescence
 reads.  Between steps, once it holds 1.5 times what the last collection
@@ -30,7 +33,7 @@ no message shares one empty mailbox.
 
 Optional monitors ask, of each object whose mailbox grew, whether the
 per-tag message counts that `deliver` and `fire` keep fit its declared
-type's caps (`semilinear.fits`), which `_compile` looks up once per `new`
+type's caps (`semilinear.fits`), which a plan looks up once per `new`
 node; a mailbox that only shrank still fits.  If not, the program has
 broken its protocol and the run stops.  When no reaction is enabled the
 run has quiesced, even on its last allowed step.  It is a deadlock if
@@ -111,24 +114,34 @@ _EMPTY: dict = {}
 ProcCode = Callable[["Soup", Env], None]
 
 
-@dataclass(eq=False, slots=True)
-class Instance:
-    oid: ObjId
+@dataclass(frozen=True, eq=False, slots=True)
+class Kind:
+    """What every object of one `new` node shares, fixed at compile time."""
+
     node: NewObj
-    env: Env
+    decl: TypeExpr
+    # The declared type's `tag_caps`, which the monitors test counts against.
+    caps: list[dict[str, float]]
     # Per rule: the (tag, copies, parameter uids) it takes, sorted by tag;
     # its compiled body; and its pattern's tags, for the trace.  With k >= 2
     # copies of a tag, the parameters are k uid lists in reverse pattern
     # order, so they zip with the messages in the order they are taken.
-    rules: list[tuple[list[tuple[str, int, list]], ProcCode, str]]
-    decl: TypeExpr
-    # The declared type's `tag_caps`, which the monitors test counts against.
-    caps: list[dict[str, float]]
+    rules: tuple[tuple[tuple[tuple[str, int, list], ...], ProcCode, str], ...]
+    # Each tag a rule takes k >= 2 copies of -> its largest k; the names the
+    # rules read, less their parameters: all an object's env keeps.
+    multi: dict[str, int]
+    free: frozenset[int]
+
+
+@dataclass(eq=False, slots=True)
+class Instance:
+    oid: ObjId
+    kind: Kind
+    env: Env
     # Per rule, the number of distinct selections the mailbox allows.
     weights: list[int]
-    # For each tag some rule takes k >= 2 copies of: the number of ways to
-    # take m messages of that tag, for m up to the largest such k.  None
-    # when no rule takes a tag twice.
+    # For each tag of kind.multi, the ways to take m messages of it, for m up
+    # to its k; None when no rule takes a tag twice.
     picks: Optional[dict[str, list[int]]]
     # tag -> distinct message -> multiplicity; tags with no messages absent.
     mailbox: dict[str, dict[Message, int]]
@@ -207,16 +220,23 @@ RUNTIME_FAULTS = (ArithmeticError, ValueError, RuntimeError_)
 _MIN_COLLECT = 256
 
 
+class Plan:
+    """A program compiled once: its type algebra and its start closure."""
+
+    __slots__ = ("alg", "start")
+
+    def __init__(self, program: CoreProgram):
+        checker = Checker(program)  # _compile declares each object in it
+        self.alg, self.start = checker.alg, _compile(program.process, set(), checker)
+
+
 class Soup:
     def __init__(
-        self,
-        program: CoreProgram,
-        seed: int = 0,
-        monitors: bool = True,
+        self, program: Plan | CoreProgram, seed: int = 0, monitors: bool = True,
         trace: bool = False,
     ):
-        checker = Checker(program)  # _compile declares each object in it
-        self.alg = checker.alg
+        plan = program if isinstance(program, Plan) else Plan(program)
+        self.alg = plan.alg
         self.rng = random.Random(seed)
         self.monitors = monitors
         self.tracing = trace
@@ -240,9 +260,7 @@ class Soup:
         # Objects whose mailbox does not fit their protocol, kept by spawn
         # and settle from the first check_solution call on (None before).
         self._misfits: Optional[set[Instance]] = None
-        _compile(program.process, set(), checker)(
-            self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID}
-        )
+        plan.start(self, {SYSTEM.uid: SYSTEM_ID, NUMBER_OBJ.uid: NUMBER_ID})
         self.settle()
 
     # --- tracing ------------------------------------------------------------
@@ -253,30 +271,25 @@ class Soup:
 
     # --- heating ------------------------------------------------------------
 
-    def spawn(
-        self, node: NewObj, decl: TypeExpr, caps: list, rules: list,
-        multi: dict[str, int], free: set[int], env: Env,
-    ):
-        """Create an object for node, of type decl, with its caps and
-        compiled rules, where multi maps each tag a rule takes k >= 2
-        copies of to its largest k, and bind it in the frame env, which
-        its body runs in.  It keeps only the entries for free, the names
-        its rules read."""
+    def spawn(self, kind: Kind, env: Env):
+        """Create an object of kind and bind it in the frame env, which its
+        body runs in.  It keeps only the entries for the kind's free names."""
         self._serial += 1
-        oid = ObjId(self._serial, node.name.text)
-        env[node.name.uid] = oid
+        name, free, multi = kind.node.name, kind.free, kind.multi
+        oid = ObjId(self._serial, name.text)
+        env[name.uid] = oid
         inst = Instance(
-            oid, node, {uid: env[uid] for uid in free} if free else _EMPTY,
-            rules, decl, caps, [0] * len(rules),
+            oid, kind, {uid: env[uid] for uid in free} if free else _EMPTY,
+            [0] * len(kind.rules),
             {tag: [1] + [0] * k for tag, k in multi.items()} if multi else None,
             _EMPTY, _EMPTY,
         )
         self.instances[self._serial] = inst
-        if self._misfits is not None and not fits(inst.caps, inst.counts):
+        if self._misfits is not None and not fits(kind.caps, inst.counts):
             self._misfits.add(inst)
-        self.created[node.name.text] = self.created.get(node.name.text, 0) + 1
+        self.created[name.text] = self.created.get(name.text, 0) + 1
         if self.tracing:
-            self.emit("new", repr(oid), "", ty.render(inst.decl))
+            self.emit("new", repr(oid), "", ty.render(kind.decl))
 
     def call_builtin(self, target: ObjId, msg: Message):
         tag, args = msg
@@ -323,7 +336,7 @@ class Soup:
         for inst, grew in self._touched.items():
             mailbox, picks, weights = inst.mailbox, inst.picks, inst.weights
             delta = 0
-            for i, (takes, _, _) in enumerate(inst.rules):
+            for i, (takes, _, _) in enumerate(inst.kind.rules):
                 w = 1
                 for tag, k, _ in takes:
                     msgs = mailbox.get(tag)
@@ -338,7 +351,7 @@ class Soup:
                 self._enabled.add(inst.oid.serial, delta)
             if not tested or not (grew or (misfits and inst in misfits)):
                 continue
-            if fits(inst.caps, inst.counts):
+            if fits(inst.kind.caps, inst.counts):
                 if misfits:
                     misfits.discard(inst)
                 continue
@@ -347,7 +360,7 @@ class Soup:
             if self.monitors and self.violation is None:
                 self.violation = (
                     f"{inst.oid!r} holds messages [{','.join(inst.tags())}] "
-                    f"outside its protocol {ty.render(inst.decl)}"
+                    f"outside its protocol {ty.render(inst.kind.decl)}"
                 )
         self._touched.clear()
 
@@ -379,7 +392,7 @@ class Soup:
                 break
             r -= w
             rule_idx += 1
-        takes, body, label = inst.rules[rule_idx]
+        takes, body, label = inst.kind.rules[rule_idx]
         self.steps += 1
 
         mailbox, counts, picks = inst.mailbox, inst.counts, inst.picks
@@ -491,11 +504,11 @@ class Soup:
         message, so its weight is already 0 and no draw changes."""
         held, nullable = self.instances, self.alg.nullable
         live = self.reachable([inst for inst in held.values() if inst.mailbox])
-        # Asked here rather than once per `new` node when the soup is built,
-        # so a run that never collects never asks; memoized by term.
+        # Asked here rather than once per `new` node when the program is
+        # compiled, so a run that never collects never asks; memoized by term.
         self.instances = {
             serial: inst for serial, inst in held.items()
-            if serial in live or not nullable(inst.decl)
+            if serial in live or not nullable(inst.kind.decl)
         }
         self._collect_at = max(_MIN_COLLECT, len(self.instances) * 3 // 2)
 
@@ -511,7 +524,7 @@ class Soup:
             mailbox = inst.mailbox
             if mailbox and any(
                 isinstance(args[i], ObjId)
-                for slot in alg.heads(inst.decl) if slot.tag in mailbox
+                for slot in alg.heads(inst.kind.decl) if slot.tag in mailbox
                 for i, a in enumerate(slot.args) if alg.relevant(a)
                 for _, args in mailbox[slot.tag] if len(args) == len(slot.args)
             ):
@@ -525,22 +538,17 @@ class Soup:
         type derived by its tags is not nullable) is a violation."""
         stuck = self.stuck_objects()
         for oid in stuck:
-            inst = self.instances[oid.serial]
-            self.emit(
-                "deadlock",
-                repr(oid),
-                ",".join(inst.tags()),
-                "",
-            )
+            tags = ",".join(self.instances[oid.serial].tags())
+            self.emit("deadlock", repr(oid), tags, "")
         if stuck or not self.monitors:
             return stuck
         alg = self.alg
         for inst in self.instances.values():
-            if not alg.nullable(alg.derivative_config(inst.decl, inst.tags())):
+            if not alg.nullable(alg.derivative_config(inst.kind.decl, inst.tags())):
                 self.violation = (
                     f"{inst.oid!r} ends with messages "
                     f"[{','.join(inst.tags())}], short of a whole "
-                    f"configuration of its protocol {ty.render(inst.decl)}"
+                    f"configuration of its protocol {ty.render(inst.kind.decl)}"
                 )
                 break
         return stuck
@@ -553,23 +561,23 @@ class Soup:
         call only reads the answer."""
         if self._misfits is None:
             self._misfits = {
-                i for i in self.instances.values() if not fits(i.caps, i.counts)
+                i for i in self.instances.values() if not fits(i.kind.caps, i.counts)
             }
         return not self._misfits
 
 
 def run(
-    program: CoreProgram,
+    program: Plan | CoreProgram,
     seed: int = 0,
     max_steps: int = 100_000,
     monitors: bool = True,
     trace: bool = False,
     check_solution: bool = False,
 ) -> RunResult:
-    """Run program from seed until it quiesces, a monitor or fault stops
-    it, or max_steps steps have fired and a step is still enabled.  With
-    check_solution, the soup's re-typing invariant is tested on the initial
-    soup and after every step until it first fails."""
+    """Run program, or a plan of it, from seed until it quiesces, a monitor
+    or fault stops it, or max_steps steps have fired and a step is still
+    enabled.  With check_solution, the soup's re-typing invariant is tested
+    on the initial soup and after every step until it first fails."""
     soup: Optional[Soup] = None
     verdict, stuck, failed = "StepBudgetExhausted", [], False
     try:
@@ -669,14 +677,15 @@ def _compile(p: Process, reads: set[int], checker: Checker) -> ProcCode:
                     takes.append((tag, k, uids[::-1]))
                     multi[tag] = max(k, multi.get(tag, 0))
             label = ",".join([m.tag for m in r.pattern])
-            rules.append((takes, _compile(r.body, free, checker), label))
+            rules.append((tuple(takes), _compile(r.body, free, checker), label))
         free.difference_update(bound)
+        kind = Kind(p, decl, caps, tuple(rules), multi, frozenset(free))
         body = _compile(p.body, reads, checker)
         reads |= free
         reads.discard(p.name.uid)
 
         def new(soup, env):
-            soup.spawn(p, decl, caps, rules, multi, free, env)
+            soup.spawn(kind, env)
             body(soup, env)
 
         return new

@@ -17,7 +17,7 @@ from joinstate.deps import DependencyRelation, Incompatible, join
 from joinstate.desugar import load_program
 from joinstate.oracle import config_le, oracle_subtype, random_type
 from joinstate.parser import parse_type
-from joinstate.runtime import Soup, run
+from joinstate.runtime import Plan, Soup, run
 from joinstate.semilinear import SubtypeEngine
 from joinstate.types import TypeAlgebra
 
@@ -120,10 +120,10 @@ def test_criterion_6_fuzz_accepted_programs():
     budgets = {"accepted/sieve.cob": 3000}
     with _Budget("6 schedule fuzzing", 120.0):
         for rel in MANIFEST["accepted"]:
-            program = load_file(rel)
+            plan = Plan(load_file(rel))
             for seed in range(100):
                 result = run(
-                    program,
+                    plan,
                     seed=seed,
                     max_steps=budgets.get(rel, 100_000),
                 )
@@ -138,9 +138,9 @@ def test_criterion_6_fuzz_accepted_programs():
 def test_criterion_7_preservation_along_runs():
     with _Budget("7 preservation", 120.0):
         for rel in MANIFEST["accepted"]:
-            program = load_file(rel)
+            plan = Plan(load_file(rel))
             for seed in range(10):
-                soup = Soup(program, seed=seed)
+                soup = Soup(plan, seed=seed)
                 assert soup.check_solution(), (rel, seed, 0)
                 while soup.steps < 200 and soup.step():
                     assert soup.check_solution(), (rel, seed, soup.steps)

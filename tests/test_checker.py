@@ -210,6 +210,18 @@ class TestProtocolViolations:
         diagnostics = [str(d) for d in check_source(src).diagnostics]
         assert any(text in d for d in diagnostics), diagnostics
 
+    def test_call_to_a_missing_method_is_reported_once(self):
+        # The continuation's base and the send both resolve Put, which
+        # reported the same diagnostic twice.
+        report = check_source(
+            "new o : *Get(Reply(#Number)) [ Get(r) |> r!Reply(1) ] in\n"
+            "let x = o.Put() in System!Print(x)"
+        )
+        assert [str(d) for d in report.diagnostics] == [
+            "2:1: ProtocolViolation: send to o#1: Put fits no configuration"
+            " of *Get(Reply(#Number))"
+        ]
+
     def test_boolean_condition_accepted(self):
         report = check_source("if true then System!Print(1) else done")
         assert report.verdict == "accepted", [str(d) for d in report.diagnostics]

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from joinstate import runtime
 from joinstate.cli import main
 from joinstate.desugar import load_program
 from joinstate.runtime import Soup, run
@@ -461,6 +462,33 @@ class TestRun:
         assert err == f"joinstate: cannot write {out}: No such file or directory\n"
         assert not out.parent.exists()
 
+    def test_unwritable_trace_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The path was first opened after the whole run, so a bad one cost
+        # up to --max-steps steps before exit 73.
+        inits = Counter()
+        init = Soup.__init__
+
+        def counted(soup, *args, **kwargs):
+            inits["soup"] += 1
+            init(soup, *args, **kwargs)
+
+        monkeypatch.setattr(Soup, "__init__", counted)
+        out = tmp_path / "missing" / "trace.json"
+        argv = ["run", path("accepted/sieve.cob"), "--trace-json", str(out)]
+        assert main(argv) == 73
+        assert inits["soup"] == 0
+        assert capsys.readouterr().out == ""
+
+    def test_trace_file_holds_the_runs_events(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        src = path("accepted/future-class.cob")
+        assert main(["run", src, "--seed", "3", "--trace-json", str(out)]) == 0
+        program = load_program(pathlib.Path(src).read_text(), src)
+        events = [vars(e) for e in run(program, seed=3, trace=True).trace]
+        assert out.read_text() == json.dumps(events, indent=2)
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("JOINSTATE_SEED", "5")
         assert main(["run", path("accepted/future-user.cob")]) == 0
@@ -487,6 +515,16 @@ class TestExplain:
         assert "type #FutureT" in out
         assert "live: yes" in out
         assert "pattern:" in out
+
+    def test_program_parikh_text(self, capsys):
+        code = main(["explain", path("accepted/future-user.cob"), "--parikh"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("type #FutureT ="))
+        assert lines[at + 1:at + 3] == [
+            "  parikh: RESOLVED(#Number) + N·(Get(Reply(#Number)))",
+            "  parikh: EMPTY + Resolve(#Number) + N·(Get(Reply(#Number)))",
+        ]
 
     def test_program_parikh_json(self, capsys):
         code = main(["explain", path("accepted/future-user.cob"), "--parikh",
@@ -639,6 +677,26 @@ class TestFuzz:
         data = json.loads(capsys.readouterr().out)
         assert data["invariantFailures"] == 0
         assert inits["soup"] == 4
+
+    def test_seeds_share_one_compiled_program(self, capsys, monkeypatch):
+        # Each `new` node is declared once, however many seeds run.
+        calls = Counter()
+        resolve = runtime.resolve_closure_types
+
+        def counted(checker, p):
+            calls[id(p)] += 1
+            return resolve(checker, p)
+
+        monkeypatch.setattr(runtime, "resolve_closure_types", counted)
+        src = path("accepted/future-class.cob")
+        assert main(["fuzz", src, "--seeds", "20", "--check-solution"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {"Terminated": 20}
+        assert set(calls.values()) == {1}
+        # As many nodes as one compile declares.
+        nodes = len(calls)
+        calls.clear()
+        runtime.Plan(load_program(pathlib.Path(src).read_text(), src))
+        assert len(calls) == nodes > 1
 
     # Two As against a one-A protocol break the invariant from the start,
     # which the monitors report at once.

@@ -1,6 +1,7 @@
 """Execution tests: termination, outputs, determinism, monitors, deadlock."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -274,7 +275,7 @@ class TestUniformity:
             if msgs:
                 left[tag] = msgs
         bound = {}
-        for m in inst.node.rules[rule_idx].pattern:
+        for m in inst.kind.node.rules[rule_idx].pattern:
             bound.update(zip([x.uid for x in m.params], by_tag[m.tag].pop()[1]))
         return inst, left, bound
 
@@ -298,10 +299,10 @@ class TestUniformity:
                     twin = copy.deepcopy(soup)
                     fired = twin.instances[inst.oid.serial]
                     envs = []
-                    fired.rules = [
+                    fired.kind = dataclasses.replace(fired.kind, rules=tuple(
                         (takes, lambda soup, env: envs.append(env), label)
-                        for takes, _, label in fired.rules
-                    ]
+                        for takes, _, label in fired.kind.rules
+                    ))
                     twin.fire(i)
                     # Compared as text, so the order of what is left, which
                     # later draws depend on, must agree too.
@@ -669,9 +670,9 @@ class TestMonitors:
             while True:
                 for inst in soup.instances.values():
                     expected = alg.usable(
-                        alg.derivative_config(inst.decl, inst.tags())
+                        alg.derivative_config(inst.kind.decl, inst.tags())
                     )
-                    assert fits(inst.caps, inst.counts) == expected
+                    assert fits(inst.kind.caps, inst.counts) == expected
                     answers[expected] += 1
                 if soup.violation is not None or not soup.step():
                     break
@@ -834,7 +835,7 @@ class TestCheckSolution:
             while soup.steps < steps and soup.step():
                 pass
             expected = all(
-                soup.alg.usable(soup.alg.derivative_config(inst.decl, inst.tags()))
+                soup.alg.usable(soup.alg.derivative_config(inst.kind.decl, inst.tags()))
                 for inst in soup.instances.values()
             )
             assert soup.check_solution() == expected
@@ -847,6 +848,20 @@ class TestCheckSolution:
         assert not soup.check_solution()
         assert soup.step()
         assert soup.check_solution()
+
+    # Unmonitored, with check_solution asked once before the first step:
+    # the rule either overfills obj's one-A mailbox (settle records it) or
+    # creates an object whose type has no configuration (spawn does).
+    @pytest.mark.parametrize("src", [
+        "new obj : A [ A |> done ] in new t : T [ T |> obj!A & obj!A ] in t!T",
+        "new t : T [ T |> new z : 0 [ A |> done ] in done ] in t!T",
+    ], ids=["mailbox-grows-out", "spawns-type-0"])
+    def test_a_step_that_breaks_the_invariant_is_recorded(self, src):
+        soup = Soup(load_program(src), seed=0, monitors=False)
+        assert soup.check_solution()
+        assert soup.step()
+        assert not soup.check_solution()
+        assert soup.violation is None
 
     def test_only_changed_objects_are_derived_again(self, monkeypatch):
         # Rechecking every object after every step made a run quadratic in
@@ -946,8 +961,8 @@ class TestOneWalk:
             while True:
                 if soup.steps in (0, 1, 10, 100):
                     for inst in soup.instances.values():
-                        assert inst.decl == reference[inst.node.name], inst.oid
-                        assert inst.caps is tag_caps(soup.alg, inst.decl)
+                        assert inst.kind.decl == reference[inst.kind.node.name], inst.oid
+                        assert inst.kind.caps is tag_caps(soup.alg, inst.kind.decl)
                         seen += 1
                 if soup.violation is not None or soup.steps >= 100 or not soup.step():
                     break
@@ -1015,9 +1030,9 @@ class TestFlatEnvs:
         while True:
             if soup.steps in (0, 1, 3, 10, 100, 1000):
                 for inst in soup.instances.values():
-                    assert set(inst.env) == rule_names(inst.node), inst.oid
-                    if inst.node.name.uid in inst.env:
-                        assert inst.env[inst.node.name.uid] is inst.oid
+                    assert set(inst.env) == rule_names(inst.kind.node), inst.oid
+                    if inst.kind.node.name.uid in inst.env:
+                        assert inst.env[inst.kind.node.name.uid] is inst.oid
                     seen += 1
                 # Objects whose rules read no outer name share one mapping.
                 empty = {id(i.env) for i in soup.instances.values() if not i.env}
@@ -1110,7 +1125,7 @@ class TestCollection:
                     # Nothing it could still do, and nothing quiesce reads.
                     assert not inst.mailbox and not any(inst.weights)
                     assert fenwick_weight(soup, serial) == 0
-                    assert soup.alg.nullable(inst.decl)
+                    assert soup.alg.nullable(inst.kind.decl)
                     dropped.append(inst)
 
         monkeypatch.setattr(Soup, "collect", checked)
@@ -1203,3 +1218,57 @@ class TestCollection:
             tracemalloc.stop()
         assert result.verdict in ("Terminated", "StepBudgetExhausted")
         assert peak < limit, peak
+
+
+class TestPlan:
+    """A program compiled once runs every seed as a fresh compile does."""
+
+    @staticmethod
+    def runs(rel):
+        """The runs to compare for one corpus program: (seed, max_steps)."""
+        seeds = range(3) if rel == "accepted/pi.cob" else range(10)
+        return [(seed, 3000 if "sieve" in rel else 100_000) for seed in seeds]
+
+    @staticmethod
+    def run_both(plan, program, seed, max_steps, monitors):
+        shared, fresh = (
+            run(p, seed=seed, max_steps=max_steps, monitors=monitors,
+                trace=True, check_solution=True)
+            for p in (plan, program)
+        )
+        assert shared.trace
+        # Every field: verdict, steps, outputs, trace, deadlocked,
+        # violation, created and invariant_failed.
+        assert shared == fresh, (seed, monitors)
+
+    @pytest.mark.parametrize("rel", CORPUS)
+    def test_shared_plan_runs_as_a_fresh_compile(self, rel):
+        program = load_file(rel)
+        plan = runtime.Plan(program)
+        for monitors in (True, False):
+            for seed, max_steps in self.runs(rel):
+                self.run_both(plan, program, seed, max_steps, monitors)
+
+    def test_interleaved_plans_run_as_fresh_compiles(self):
+        rels = ["accepted/future-class.cob", "accepted/sieve.cob",
+                "rejected/future-user-deadlock.cob"]
+        programs = [load_file(rel) for rel in rels]
+        plans = [runtime.Plan(p) for p in programs]
+        for seed in range(5):
+            for monitors in (True, False):
+                for plan, program in zip(plans, programs):
+                    self.run_both(plan, program, seed, 500, monitors)
+
+    def test_instances_hold_only_run_state(self):
+        assert [f.name for f in dataclasses.fields(runtime.Instance)] == [
+            "oid", "kind", "env", "weights", "picks", "mailbox", "counts",
+        ]
+        # One kind per `new` node, shared by every object the node spawns.
+        program = load_file("accepted/sieve.cob")
+        soup = Soup(program, seed=0)
+        while soup.steps < 300 and soup.step():
+            pass
+        kinds = {}
+        for inst in soup.instances.values():
+            assert kinds.setdefault(id(inst.kind.node), inst.kind) is inst.kind
+        assert 1 < len(kinds) <= len(new_nodes(program.process))

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -170,6 +171,13 @@ class TestSubtype:
     def test_star_not_equivalent_to_body(self):
         v = self.engine.equivalent(Star(M), M)
         assert v.kind == "no"
+
+    def test_equivalence_fails_forward_first(self):
+        # M <= *M fails, while *M <= M holds: the forward verdict is the
+        # answer, counterexample included.
+        assert self.engine.subtype(Star(M), M).holds
+        v = self.engine.equivalent(M, Star(M))
+        assert v.kind == "no" and v.counterexample == ()
 
     def test_nullability_gate_counterexample(self):
         v = self.engine.subtype(M, Star(M))
@@ -503,6 +511,35 @@ class TestFastInclude:
             got = engine._fast_include(comp, t_comps, alphabet, shared)
             assert got == expect, (alphabet, comp, t_comps)
             assert engine._args_bounded == reference._args_bounded
+
+    # Nine tags, each with a wide and a narrow argument variant: a wide slot
+    # fits both, so a supertype component over the nine wide slots has
+    # 2^9 = 512 slot maps, past the fast path's 256, and the matcher alone
+    # answers.
+    @pytest.mark.parametrize(
+        "sub,sup", [("both", "wide"), ("wide", "both"), ("narrow", "wide")]
+    )
+    def test_too_many_slot_maps_leave_it_to_the_matcher(self, sub, sup):
+        def slots(*variants):
+            return Prod(tuple(
+                Sum(tuple(msg(tag, v) for v in variants)) for tag in "ABCDEFGHI"
+            ))
+
+        wide, narrow = Star(M), Sum((ONE, M))
+        types = {"wide": slots(wide), "narrow": slots(narrow),
+                 "both": slots(wide, narrow)}
+        sub, sup = types[sub], types[sup]
+        alg = TypeAlgebra()
+        engine = SubtypeEngine(alg)
+        alphabet = joint_alphabet(alg, sub, sup)
+        candidates = [None] * len(alphabet)
+        t_comps = parikh(alg, sub, alphabet)
+        comp = parikh(alg, sup, alphabet)[0]
+        assert not engine._fast_include(comp, t_comps, alphabet, candidates)
+        used = [i for i, n in enumerate(comp.base) if n]
+        assert math.prod(len(candidates[i]) for i in used) == 512
+        verdict = engine.subtype(sub, sup)
+        assert verdict.holds == oracle_subtype(alg, sub, sup, size=9)
 
     def test_cone_memo_keeps_dimensions_apart(self):
         # Empty period sets are one frozenset in every dimension; the

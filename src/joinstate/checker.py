@@ -163,7 +163,22 @@ class Checker:
         self.engine = SubtypeEngine(self.alg, bound)
         self.report = Report()
         self.decls: dict[Name, TypeExpr] = dict(BUILTIN_DECLS)
+        # Rule variables `resolve_closure_types` left undeclared, each with
+        # its rule's (object type, pattern); `declared` binds them on demand.
+        self.pending: dict[Name, tuple[TypeExpr, tuple]] = {}
         self.stateless: set[Name] = set(BUILTIN_OBJECTS)
+
+    def declared(self, name: Name) -> Optional[TypeExpr]:
+        """name's declared type, or None; a pending rule variable is
+        declared first, with the rest of its pattern."""
+        entry = self.pending.get(name)
+        if entry is not None:
+            decl, pattern = entry
+            for m in pattern:
+                for param in m.params:
+                    self.pending.pop(param, None)
+            self.bind_pattern(decl, pattern, "rule", None)
+        return self.decls.get(name)
 
     # --- reporting helpers -------------------------------------------------
 
@@ -528,7 +543,7 @@ class Checker:
         the message slot it is passed to; None (with a diagnostic) when that
         slot has no such argument or it accepts no continuation."""
         target, tag = spec.target, spec.tag
-        decl = self.decls.get(target)
+        decl = self.declared(target)
         if decl is None:
             self.diag("ProtocolViolation", f"unknown object {target}", pos)
             return None
@@ -620,21 +635,28 @@ def check_program(program: CoreProgram, bound: int = 4) -> Report:
 
 
 def resolve_closure_types(checker: Checker, p: NewObj) -> TypeExpr:
-    """Declare object p and its rules' variables in checker, which holds the
-    names p refers to, and return p's type: the checker's own declarations,
-    made without full checking or writing into the program, so the soup's
-    monitors follow the same types in checked and unchecked programs.  A
-    continuation's base is `closure_base` (1 where the checker rejects it),
-    with CLOSURE argument types approximated by the captured names'
-    declared types: the runtime follows message tags, and only asks whether
-    a leftover CLOSURE message's arguments are relevant.  `bind_pattern`
-    declares each rule's variables up to where it rejects the pattern; the
-    rest stay undeclared, that is of type 1."""
-    decl, spec, decls = p.decl, p.closure, checker.decls
+    """Declare object p in checker, which holds the names p refers to, and
+    return p's type: the checker's own declarations, made without full
+    checking or writing into the program, so the soup's monitors follow the
+    same types in checked and unchecked programs.  A continuation's base is
+    `closure_base` (1 where the checker rejects it), with CLOSURE argument
+    types approximated by the captured names' declared types: the runtime
+    follows message tags, and only asks whether a leftover CLOSURE message's
+    arguments are relevant.  p's rule variables are left pending: only a
+    continuation's target or captured names are read, and the first read of
+    one (`Checker.declared`) binds its pattern by `bind_pattern`, which
+    declares the variables up to where it rejects the pattern; the rest
+    stay undeclared, that is of type 1."""
+    decl, spec = p.decl, p.closure
     if spec is not None:
         base = checker.closure_base(spec, p.pos) or ty.ONE
-        decl = closure_decl(base, tuple(decls.get(n, ty.ONE) for n in spec.captured))
-    decls[p.name] = decl
+        captured = tuple(checker.declared(n) or ty.ONE for n in spec.captured)
+        decl = closure_decl(base, captured)
+    checker.decls[p.name] = decl
+    pending = checker.pending
     for rule in p.rules:
-        checker.bind_pattern(decl, rule.pattern, "rule", p.pos)
+        entry = (decl, rule.pattern)
+        for m in rule.pattern:
+            for param in m.params:
+                pending[param] = entry
     return decl

@@ -35,7 +35,7 @@ from .desugar import DesugarError, load_program
 from .parser import ParseError, parse_type
 from .runtime import Plan, _fmt, run
 from .semilinear import joint_alphabet, parikh
-from .types import TypeAlgebra, TypeDeclError, render
+from .types import BUILTIN_TYPES, TypeAlgebra, TypeDeclError, render
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -258,6 +258,8 @@ def cmd_explain(args) -> int:
     alg = checker.alg
     out = {"verdict": report.verdict, "types": {}, "objects": []}
     for name, t in sorted(program.table.items()):
+        if name in BUILTIN_TYPES:
+            continue
         entry = {"definition": render(t)}
         if args.parikh:
             entry["parikh"] = _parikh_lines(alg, t)

@@ -19,7 +19,10 @@ its pick from a copy of the same polynomial.  An object's env holds only
 its rules' free names; a firing copies it into a frame of its own.  A
 `Plan` compiles a program once (`joinstate fuzz` runs every seed on one),
 into one `Kind` per `new` node that every object the node spawns shares,
-so an `Instance` holds only run state.
+so an `Instance` holds only run state.  Its set-up is the checker's own
+declarations, made as the walk reaches each `new` node: a rule variable
+is declared only when a continuation's type reads it, and the caps come
+from per-slot bounds read off the type, with no Parikh image.
 
 The soup holds only objects that can still act, and those quiescence
 reads.  Between steps, once it holds 1.5 times what the last collection
@@ -619,7 +622,8 @@ def run(
 # process depth first, left to right, so serials, mailbox order and with
 # them the RNG draws follow the order of the source.  The same walk adds to
 # `reads` the uids the code reads from outside it (Shao & Appel 1994), and
-# declares each object in `checker` before the code that can refer to it.
+# declares each object in `checker` before the code that can refer to it;
+# rule variables wait in `checker.pending` until a continuation reads one.
 
 _BINOPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -2,9 +2,10 @@
 
 A type's configurations, projected to counts per message slot, form a
 semilinear set: a finite union of linear sets (base vector plus any natural
-combination of period vectors).  On that representation subtyping, liveness
-and argument determinacy become vector problems, as does the monitors'
-test of a mailbox by its per-tag counts (`tag_caps`, `fits`).
+combination of period vectors).  On that representation subtyping and
+liveness become vector problems; argument determinacy and the monitors'
+test of a mailbox by its per-tag counts (`tag_caps`, `fits`) read only
+each component's per-slot bounds, which come from the type without one.
 
 Subtyping is exact whenever it answers No or proves inclusion through the
 fast path; otherwise it checks every vector of the supertype with at most
@@ -44,7 +45,14 @@ subset of the components with periods, taken at least once, gives one.
 
 Liveness tests only each component's least configurations: its base, and
 its base plus one period (`live`).  The monitors' caps and argument
-determinacy read one bound per slot (`_slot_bounds`), tag by tag.
+determinacy read one bound per slot (`_slot_bounds`), tag by tag: per
+component, a slot's most messages in one configuration, infinite when a
+period touches it.  Both answer from the maximal bounds alone, which a
+recursion over the type gives as `_parikh` builds the components, with no
+image: a message its unit vector, a sum its parts' bounds, a product the
+sums of one bound per part, and a star one bound, infinite on every slot
+its body reaches.  They are memoized on the algebra per (term, alphabet),
+as the images are.
 """
 
 from __future__ import annotations
@@ -233,26 +241,75 @@ def _star(body: list[LinearSet], n: int) -> list[LinearSet]:
     return _prune(out) if periodic else out
 
 
-def _slot_bounds(alg: TypeAlgebra, t: TypeExpr) -> Iterable[list[float]]:
-    """Per component of t's Parikh image, each slot's most messages in one
-    configuration: infinity when a period touches the slot, else the base's."""
-    for comp in parikh(alg, t, joint_alphabet(alg, t)):
-        bound: list[float] = list(comp.base)
-        for i, col in enumerate(zip(*comp.periods)):
-            if any(col):
-                bound[i] = math.inf
-        yield bound
+def _slot_bounds(
+    alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet
+) -> list[tuple[float, ...]]:
+    """Over the given slot alphabet, the maximal vectors of each slot's most
+    messages in one configuration of a component of t's Parikh image:
+    infinity where a period touches the slot, else the base's count.
+    Memoized on alg per (term, alphabet), subterms included, and shared:
+    read-only."""
+    key = (t, alphabet)
+    bounds = alg.bounds_memo.get(key)
+    if bounds is None:
+        bounds = alg.bounds_memo[key] = _bounds_of(alg, t, alphabet)
+    return bounds
+
+
+def _bounds_of(
+    alg: TypeAlgebra, t: TypeExpr, alphabet: Alphabet
+) -> list[tuple[float, ...]]:
+    """By structure, as `_parikh` builds the components: a sum's parts'
+    bounds, a product's sums of one bound per part, and a star's one bound,
+    infinite on every slot its body's bounds touch.  Only sums and products
+    can give several, so only they drop the vectors others dominate."""
+    n = len(alphabet)
+    if not alg.heads(t):
+        return [_zero(n)] if alg.usable(t) else []
+    if isinstance(t, Msg):
+        i = alphabet.index(t)
+        return [tuple(1 if j == i else 0 for j in range(n))]
+    kind = type(t).__name__
+    if kind == "Sum":
+        parts = t.parts  # type: ignore[attr-defined]
+        return _maximal([b for p in parts for b in _slot_bounds(alg, p, alphabet)])
+    if kind == "Prod":
+        acc: list[tuple[float, ...]] = [_zero(n)]
+        for p in t.parts:  # type: ignore[attr-defined]
+            bounds = _slot_bounds(alg, p, alphabet)
+            acc = _maximal([_add(a, b) for a in acc for b in bounds])
+            if not acc:
+                break
+        return acc
+    if kind == "Star":
+        body = _slot_bounds(alg, t.body, alphabet)  # type: ignore[attr-defined]
+        return [tuple(math.inf if any(b[i] for b in body) else 0 for i in range(n))]
+    if kind == "Ref":
+        return _slot_bounds(alg, alg.unfold(t), alphabet)
+    raise TypeError(f"not a type expression: {t!r}")
+
+
+def _maximal(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """The vectors, in order, less each one another is at least as large as
+    everywhere (of equal ones, the first stays)."""
+    out: list[tuple[float, ...]] = []
+    for v in vectors:
+        if any(all(map(operator.le, v, w)) for w in out):
+            continue
+        out = [w for w in out if not all(map(operator.le, w, v))]
+        out.append(v)
+    return out
 
 
 def tag_caps(alg: TypeAlgebra, t: TypeExpr) -> list[dict[str, float]]:
-    """Per component of t's Parikh image, the most messages of each tag one
-    configuration holds: its slots' `_slot_bounds` summed.  Memoized on alg
-    and shared: read-only."""
+    """Per vector of t's `_slot_bounds`, the most messages of each tag one
+    configuration of a component holds: its slots' bounds summed.  Memoized
+    on alg and shared: read-only."""
     caps = alg.caps_memo.get(t)
     if caps is None:
         alphabet = joint_alphabet(alg, t)
         caps = alg.caps_memo[t] = []
-        for bound in _slot_bounds(alg, t):
+        for bound in _slot_bounds(alg, t, alphabet):
             cap: dict[str, float] = {}
             for slot, n in zip(alphabet, bound):
                 cap[slot.tag] = cap.get(slot.tag, 0) + n
@@ -624,7 +681,7 @@ def _arg_determinate(alg: TypeAlgebra, t: TypeExpr, tags: TagMultiset) -> ArgVer
     if any(tag not in tag_slots for tag in tags):
         return DEAD
     demand: dict[int, float] | None = None  # slot index -> copies, if any
-    for bound in _slot_bounds(alg, t):
+    for bound in _slot_bounds(alg, t, alphabet):
         fill, spare = {}, 0
         for tag, k in tags.items():
             room = 0

@@ -292,10 +292,11 @@ class TypeAlgebra:
         self._heads: dict[TypeExpr, frozenset[Msg]] = {}
         self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
-        # Kept for `semilinear`: Parikh images by (term, alphabet), alphabets
-        # by type tuple, and from an image's per-slot bounds (not kept) slot
+        # Kept for `semilinear`: Parikh images and per-slot bounds by (term,
+        # alphabet), alphabets by type tuple, and from the bounds slot
         # resolutions by (type, sorted tag counts) and tag caps by type.
         self.parikh_memo: dict[tuple, list] = {}
+        self.bounds_memo: dict[tuple, list] = {}
         self.slots_memo: dict[tuple, object] = {}
         self.alphabet_memo: dict[tuple, tuple[Msg, ...]] = {}
         self.caps_memo: dict[TypeExpr, list] = {}

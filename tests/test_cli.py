@@ -516,6 +516,16 @@ class TestExplain:
         assert "live: yes" in out
         assert "pattern:" in out
 
+    def test_lists_only_declared_types(self, capsys):
+        # The builtin #Bool and #Number are not the program's declarations.
+        assert main(["explain", path("accepted/future-user.cob")]) == 0
+        types = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("type ")]
+        assert [ln.split(" = ")[0] for ln in types] == ["type #FutureT", "type #UserT"]
+        assert main(["explain", path("accepted/future-user.cob"), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data["types"]) == ["#FutureT", "#UserT"]
+
     def test_program_parikh_text(self, capsys):
         code = main(["explain", path("accepted/future-user.cob"), "--parikh"])
         assert code == 0

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from joinstate import checker as checker_module
 from joinstate import runtime
 from joinstate import types as ty
 from joinstate.checker import Checker, check_program, closure_decl
@@ -934,7 +935,8 @@ CORPUS = sorted(str(p.relative_to(PROGRAMS)) for p in PROGRAMS.rglob("*.cob"))
 
 
 class TestOneWalk:
-    """A soup declares each object as it compiles its `new` node."""
+    """A soup declares each object as it compiles its `new` node, and a rule
+    variable only when a continuation reads it."""
 
     @pytest.mark.parametrize("checked", [False, True])
     @pytest.mark.parametrize("rel", CORPUS)
@@ -954,9 +956,16 @@ class TestOneWalk:
         for monitors in (True, False):
             checkers.clear()
             soup = Soup(program, seed=1, monitors=monitors)
-            # The same declarations by binder, rule variables included.
+            # The reference's declarations by binder: every `new` binder,
+            # and each name a continuation reads, declared or not alike.
             assert {id(c) for c in checkers} == {id(checkers[0])}
-            assert checkers[0].decls == reference
+            decls = checkers[0].decls
+            assert all(reference[n] == t for n, t in decls.items())
+            nodes = new_nodes(program.process)
+            assert all(node.name in decls for node in nodes)
+            for spec in (node.closure for node in nodes if node.closure):
+                for name in (spec.target, *spec.captured):
+                    assert decls.get(name) == reference.get(name), name
             seen = 0
             while True:
                 if soup.steps in (0, 1, 10, 100):
@@ -967,6 +976,40 @@ class TestOneWalk:
                 if soup.violation is not None or soup.steps >= 100 or not soup.step():
                     break
             assert seen
+
+    @pytest.mark.parametrize(
+        "rel, declared, resolves",
+        [("accepted/future-user.cob", 0, False), ("accepted/future-class.cob", 1, True)],
+    )
+    def test_rule_variables_are_declared_on_demand(
+        self, rel, declared, resolves, monkeypatch
+    ):
+        # future-user has no continuation, so its plan declares none of its 4
+        # rule variables and resolves no slots; of future-class's 7, only
+        # `future`, the target of its `future.Get` calls, is declared.
+        checkers, resolved = [], []
+        resolve_closure_types = runtime.resolve_closure_types
+        arg_determinate = checker_module.arg_determinate
+
+        def spied(checker, p):
+            checkers.append(checker)
+            return resolve_closure_types(checker, p)
+
+        def counted(*args):
+            resolved.append(args)
+            return arg_determinate(*args)
+
+        monkeypatch.setattr(runtime, "resolve_closure_types", spied)
+        monkeypatch.setattr(checker_module, "arg_determinate", counted)
+        program = load_file(rel)
+        runtime.Plan(program)
+        nodes = new_nodes(program.process)
+        variables = {param for node in nodes for r in node.rules
+                     for m in r.pattern for param in m.params}
+        decls = checkers[0].decls
+        assert sum(v in decls for v in variables) == declared
+        assert len(variables) == declared + len(checkers[0].pending)
+        assert bool(resolved) == resolves
 
     @pytest.mark.parametrize("monitors", [True, False])
     @pytest.mark.parametrize("rel", CORPUS)

@@ -3,13 +3,17 @@
 import hashlib
 import itertools
 import math
+import operator
+import pathlib
 import random
 import time
 import tracemalloc
 
 import pytest
 
+from joinstate import semilinear
 from joinstate import types as ty
+from joinstate.desugar import load_program
 from joinstate.oracle import (
     _linear_member,
     config_le,
@@ -27,6 +31,7 @@ from joinstate.semilinear import (
     _Matcher,
     _prune,
     _add,
+    _slot_bounds,
     _star,
     _tag_slots,
     _transport_exists,
@@ -49,6 +54,9 @@ from joinstate.types import (
     TypeAlgebra,
     resolve_types,
 )
+from joinstate.runtime import Plan, run
+
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 
 def msg(tag, *args):
@@ -863,6 +871,75 @@ class TestTagCaps:
                 assert fits(caps, counts) == expected, (t, counts)
                 answers.add(expected)
         assert answers == {True, False}
+
+
+def reference_slot_bounds(alg, t):
+    """Per-slot bounds as they were first read off the Parikh image: per
+    component, infinity where a period touches the slot, else the base's
+    count."""
+    for comp in parikh(alg, t, joint_alphabet(alg, t)):
+        bound = list(comp.base)
+        for i, col in enumerate(zip(*comp.periods)):
+            if any(col):
+                bound[i] = math.inf
+        yield tuple(bound)
+
+
+def maximal(vectors):
+    """The set of vectors no other vector of the list is at least as large
+    as everywhere."""
+    vectors = set(vectors)
+    return {
+        v for v in vectors
+        if not any(w != v and all(map(operator.le, v, w)) for w in vectors)
+    }
+
+
+class TestSlotBounds:
+    """`_slot_bounds` reads each slot's bound from the type's structure; the
+    Parikh image's components give the same maximal vectors."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_reference(self, seed):
+        rng = random.Random(seed)
+        alg = TypeAlgebra()
+        for _ in range(2000):
+            t = TestTagCaps.random_type(rng)
+            alphabet = joint_alphabet(alg, t)
+            bounds = _slot_bounds(alg, t, alphabet)
+            assert maximal(bounds) == maximal(reference_slot_bounds(alg, t)), t
+            # Only maximal vectors, each once.
+            assert len(maximal(bounds)) == len(bounds), (t, bounds)
+            assert _slot_bounds(alg, t, alphabet) is bounds
+
+    def test_star_is_infinite_where_its_body_reaches(self):
+        alg = TypeAlgebra({"#Z": ZERO})
+        # A . *(B + C . #Z): C sits only under 0, so its slot stays 0.
+        t = Prod((A, Star(Sum((B, Prod((C, Ref("#Z"))))))))
+        alphabet = joint_alphabet(alg, t)
+        assert alphabet == (A, B, C)
+        assert _slot_bounds(alg, t, alphabet) == [(1, math.inf, 0)]
+        assert _slot_bounds(alg, Prod((A, Ref("#Z"))), (A,)) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_need_no_parikh_image(self, seed, monkeypatch):
+        # A plan's slot resolution and caps, and the run's monitors, read
+        # only `_slot_bounds`: every corpus program compiles and runs as it
+        # does with Parikh images at hand.
+        def refused(*args):
+            raise AssertionError("parikh called")
+
+        def outcome(path):
+            plan = Plan(load_program(path.read_text(), path.name))
+            steps = 1000 if path.name == "sieve.cob" else 100_000
+            result = run(plan, seed=seed, max_steps=steps)
+            return result.verdict, result.steps, result.outputs
+
+        paths = sorted(PROGRAMS.rglob("*.cob"))
+        assert len(paths) == 12
+        expected = [outcome(path) for path in paths]
+        monkeypatch.setattr(semilinear, "parikh", refused)
+        assert [outcome(path) for path in paths] == expected
 
 
 def reference_live(alg, t, patterns):

@@ -103,7 +103,6 @@ class ObjectInfo:
     decl: TypeExpr
     patterns: list[dict[str, int]]
     live: bool
-    stateless: bool
 
     def to_json(self):
         return {
@@ -437,9 +436,7 @@ class Checker:
                 "messages but triggers no rule",
                 p.pos,
             )
-        self.report.objects.append(
-            ObjectInfo(p.name, decl, patterns, is_live, p.stateless)
-        )
+        self.report.objects.append(ObjectInfo(p.name, decl, patterns, is_live))
 
         deps = self.check_process(p.body, env)
         self.check_obligation(p.name, decl, env, p.pos)

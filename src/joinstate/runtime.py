@@ -164,11 +164,6 @@ class TraceEvent:
     tags: str
     detail: str
 
-    def line(self) -> str:
-        return "\t".join(
-            (str(self.step), self.kind, self.obj, self.tags, self.detail)
-        )
-
 
 @dataclass
 class RunResult:

@@ -303,17 +303,14 @@ def _maximal(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
 
 def tag_caps(alg: TypeAlgebra, t: TypeExpr) -> list[dict[str, float]]:
     """Per vector of t's `_slot_bounds`, the most messages of each tag one
-    configuration of a component holds: its slots' bounds summed.  Memoized
-    on alg and shared: read-only."""
-    caps = alg.caps_memo.get(t)
-    if caps is None:
-        alphabet = joint_alphabet(alg, t)
-        caps = alg.caps_memo[t] = []
-        for bound in _slot_bounds(alg, t, alphabet):
-            cap: dict[str, float] = {}
-            for slot, n in zip(alphabet, bound):
-                cap[slot.tag] = cap.get(slot.tag, 0) + n
-            caps.append(cap)
+    configuration of a component holds: its slots' bounds summed."""
+    alphabet = joint_alphabet(alg, t)
+    caps = []
+    for bound in _slot_bounds(alg, t, alphabet):
+        cap: dict[str, float] = {}
+        for slot, n in zip(alphabet, bound):
+            cap[slot.tag] = cap.get(slot.tag, 0) + n
+        caps.append(cap)
     return caps
 
 

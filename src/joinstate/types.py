@@ -287,19 +287,19 @@ class TypeAlgebra:
         self.table: dict[str, TypeExpr] = dict(BUILTIN_TYPES)
         if table:
             self.table.update(table)
-        self._nullable: dict[TypeExpr, bool] = {}
-        self._usable: dict[TypeExpr, bool] = {}
-        self._heads: dict[TypeExpr, frozenset[Msg]] = {}
+        # One memo per walk below, filled for every term the walk visits:
+        # (nullable, usable, heads) by term, derivatives by (term, tag or
+        # message), and configuration sets by (term, size bound).
+        self._facts: dict[TypeExpr, tuple[bool, bool, frozenset[Msg]]] = {}
         self._deriv: dict[tuple[TypeExpr, str | Msg], TypeExpr] = {}
         self._enum: dict[tuple[TypeExpr, int], frozenset[Config]] = {}
         # Kept for `semilinear`: Parikh images and per-slot bounds by (term,
         # alphabet), alphabets by type tuple, and from the bounds slot
-        # resolutions by (type, sorted tag counts) and tag caps by type.
+        # resolutions by (type, sorted tag counts).
         self.parikh_memo: dict[tuple, list] = {}
         self.bounds_memo: dict[tuple, list] = {}
         self.slots_memo: dict[tuple, object] = {}
         self.alphabet_memo: dict[tuple, tuple[Msg, ...]] = {}
-        self.caps_memo: dict[TypeExpr, list] = {}
 
     def unfold(self, t: TypeExpr) -> TypeExpr:
         while isinstance(t, Ref):
@@ -309,98 +309,74 @@ class TypeAlgebra:
                 raise TypeDeclError(f"unknown type name {t.name}") from None
         return t
 
-    def nullable(self, t: TypeExpr) -> bool:
-        """Whether the empty configuration is valid, i.e. t <= 1."""
-        cached = self._nullable.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, Ref):
-            r = self.nullable(self.unfold(t))
-        elif isinstance(t, (One, Base, Star)):
-            r = True
-        elif isinstance(t, (Zero, Msg)):
-            r = False
-        elif isinstance(t, Sum):
-            r = any(self.nullable(p) for p in t.parts)
-        elif isinstance(t, Prod):
-            r = all(self.nullable(p) for p in t.parts)
+    def facts(self, t: TypeExpr) -> tuple[bool, bool, frozenset[Msg]]:
+        """(nullable, usable, heads) of t, by one walk of its head unfolding."""
+        facts = self._facts.get(t)
+        if facts is not None:
+            return facts
+        if isinstance(t, Zero):
+            facts = (False, False, frozenset())
+        elif isinstance(t, (One, Base)):
+            facts = (True, True, frozenset())
+        elif isinstance(t, Msg):
+            facts = (False, True, frozenset({t}))
+        elif isinstance(t, Star):
+            facts = (True, True, self.facts(t.body)[2])
+        elif isinstance(t, (Sum, Prod)):
+            nullable, usable, heads = zip(*map(self.facts, t.parts))
+            some = any if isinstance(t, Sum) else all
+            facts = (some(nullable), some(usable), frozenset().union(*heads))
+        elif isinstance(t, Ref):
+            facts = self.facts(self.unfold(t))
         else:
             raise TypeError(f"not a type expression: {t!r}")
-        self._nullable[t] = r
-        return r
+        self._facts[t] = facts
+        return facts
+
+    def nullable(self, t: TypeExpr) -> bool:
+        """Whether the empty configuration is valid, i.e. t <= 1."""
+        return self.facts(t)[0]
 
     def relevant(self, t: TypeExpr) -> bool:
         return not self.nullable(t)
 
     def usable(self, t: TypeExpr) -> bool:
         """Whether at least one valid configuration exists."""
-        cached = self._usable.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, Ref):
-            r = self.usable(self.unfold(t))
-        elif isinstance(t, Zero):
-            r = False
-        elif isinstance(t, (One, Base, Msg, Star)):
-            r = True
-        elif isinstance(t, Sum):
-            r = any(self.usable(p) for p in t.parts)
-        elif isinstance(t, Prod):
-            r = all(self.usable(p) for p in t.parts)
-        else:
-            raise TypeError(f"not a type expression: {t!r}")
-        self._usable[t] = r
-        return r
+        return self.facts(t)[1]
 
     def heads(self, t: TypeExpr) -> frozenset[Msg]:
         """All message types in the head unfolding (argument positions excluded)."""
-        cached = self._heads.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, (Zero, One, Base)):
-            r: frozenset[Msg] = frozenset()
-        elif isinstance(t, Msg):
-            r = frozenset({t})
-        elif isinstance(t, Star):
-            r = self.heads(t.body)
-        elif isinstance(t, (Sum, Prod)):
-            r = frozenset().union(*(self.heads(p) for p in t.parts))
-        elif isinstance(t, Ref):
-            r = self.heads(self.unfold(t))
-        else:
-            raise TypeError(f"not a type expression: {t!r}")
-        self._heads[t] = r
-        return r
+        return self.facts(t)[2]
 
     def derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
         """Residual protocol after one message (Brzozowski 1964).  Given a
         tag, any message with that tag matches; given a message type, only
         messages equal to it do."""
         key = (t, a)
-        cached = self._deriv.get(key)
-        if cached is None:
-            cached = self._deriv[key] = self._derivative(t, a)
-        return cached
-
-    def _derivative(self, t: TypeExpr, a: str | Msg) -> TypeExpr:
+        d = self._deriv.get(key)
+        if d is not None:
+            return d
         if isinstance(t, (Zero, One, Base)):
-            return ZERO
-        if isinstance(t, Msg):
+            d = ZERO
+        elif isinstance(t, Msg):
             hit = t.tag == a if isinstance(a, str) else t == a
-            return ONE if hit else ZERO
-        if isinstance(t, Sum):
-            return Sum(tuple(self._derivative(p, a) for p in t.parts))
-        if isinstance(t, Prod):
+            d = ONE if hit else ZERO
+        elif isinstance(t, Sum):
+            d = Sum(tuple(self.derivative(p, a) for p in t.parts))
+        elif isinstance(t, Prod):
             terms = []
             for i, p in enumerate(t.parts):
-                rest = t.parts[:i] + (self._derivative(p, a),) + t.parts[i + 1 :]
+                rest = t.parts[:i] + (self.derivative(p, a),) + t.parts[i + 1 :]
                 terms.append(Prod(rest))
-            return Sum(tuple(terms))
-        if isinstance(t, Star):
-            return Prod((self._derivative(t.body, a), t))
-        if isinstance(t, Ref):
-            return self._derivative(self.unfold(t), a)
-        raise TypeError(f"not a type expression: {t!r}")
+            d = Sum(tuple(terms))
+        elif isinstance(t, Star):
+            d = Prod((self.derivative(t.body, a), t))
+        elif isinstance(t, Ref):
+            d = self.derivative(self.unfold(t), a)
+        else:
+            raise TypeError(f"not a type expression: {t!r}")
+        self._deriv[key] = d
+        return d
 
     def derivative_config(self, t: TypeExpr, tags: Iterable[str]) -> TypeExpr:
         for tag in tags:

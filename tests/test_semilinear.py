@@ -136,6 +136,14 @@ class TestParikh:
                 v[index[tag]] += 1
             assert not member(tuple(v), comps), tags
 
+    def test_product_with_a_name_for_zero(self):
+        # #Z has no configurations, so neither has A . #Z, though A heads it.
+        alg = TypeAlgebra(resolve_types([("#Z", ZERO)]))
+        t = Prod((A, Ref("#Z")))
+        assert parikh(alg, t, joint_alphabet(alg, t)) == []
+        assert tag_caps(alg, t) == []
+        assert not alg.usable(t) and alg.heads(t) == {A}
+
 
 class TestSubtype:
     def setup_method(self):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import gc
+import random
+import time
 import weakref
 
 import pytest
 
 from joinstate import types
+from joinstate.oracle import random_type
 from joinstate.types import (
     BOOL,
     NUMBER,
@@ -14,16 +17,19 @@ from joinstate.types import (
     ZERO,
     Base,
     Msg,
+    One,
     Prod,
     Ref,
     Star,
     Sum,
     TypeAlgebra,
     TypeDeclError,
+    Zero,
     config_of,
     normalize,
     render,
     resolve_types,
+    sort_key,
 )
 
 
@@ -197,6 +203,112 @@ class TestDerivative:
         alg = TypeAlgebra()
         t = normalize(Prod((A, Sum((B, C)))))
         assert alg.derivative_config(t, []) == t
+
+
+def reference_nullable(alg, t):
+    """Nullability as its own walk, unmemoized."""
+    if isinstance(t, Ref):
+        return reference_nullable(alg, alg.unfold(t))
+    if isinstance(t, (One, Base, Star)):
+        return True
+    if isinstance(t, (Zero, Msg)):
+        return False
+    if isinstance(t, Sum):
+        return any(reference_nullable(alg, p) for p in t.parts)
+    return all(reference_nullable(alg, p) for p in t.parts)
+
+
+def reference_usable(alg, t):
+    """Usability as its own walk, unmemoized."""
+    if isinstance(t, Ref):
+        return reference_usable(alg, alg.unfold(t))
+    if isinstance(t, Zero):
+        return False
+    if isinstance(t, (One, Base, Msg, Star)):
+        return True
+    if isinstance(t, Sum):
+        return any(reference_usable(alg, p) for p in t.parts)
+    return all(reference_usable(alg, p) for p in t.parts)
+
+
+def reference_heads(alg, t):
+    """The head messages as their own walk, unmemoized."""
+    if isinstance(t, (Zero, One, Base)):
+        return frozenset()
+    if isinstance(t, Msg):
+        return frozenset({t})
+    if isinstance(t, Star):
+        return reference_heads(alg, t.body)
+    if isinstance(t, Ref):
+        return reference_heads(alg, alg.unfold(t))
+    return frozenset().union(*(reference_heads(alg, p) for p in t.parts))
+
+
+def reference_derivative(alg, t, a):
+    """The Brzozowski derivative by plain recursion, memoized on nothing."""
+    if isinstance(t, (Zero, One, Base)):
+        return ZERO
+    if isinstance(t, Msg):
+        hit = t.tag == a if isinstance(a, str) else t == a
+        return ONE if hit else ZERO
+    if isinstance(t, Sum):
+        return Sum(tuple(reference_derivative(alg, p, a) for p in t.parts))
+    if isinstance(t, Prod):
+        terms = []
+        for i, p in enumerate(t.parts):
+            d = reference_derivative(alg, p, a)
+            terms.append(Prod(t.parts[:i] + (d,) + t.parts[i + 1 :]))
+        return Sum(tuple(terms))
+    if isinstance(t, Star):
+        return Prod((reference_derivative(alg, t.body, a), t))
+    return reference_derivative(alg, alg.unfold(t), a)
+
+
+class TestMemoizedWalks:
+    """`facts` answers nullable, usable and heads in one memoized walk, and
+    `derivative` memoizes every subterm; both agree with the plain
+    recursions, on one algebra shared by all draws of a seed."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_reference(self, seed):
+        rng = random.Random(seed)
+        p, q, z = Ref("#P"), Ref("#Q"), Ref("#Z")
+        decls = [("#P", random_type(rng)), ("#Q", Sum((random_type(rng), p)))]
+        alg = TypeAlgebra(resolve_types(decls + [("#Z", ZERO)]))
+        seen = set()
+        for _ in range(2000):
+            t = random_type(rng)
+            shapes = (t, Prod((p, q)), Sum((z, t)), Prod((t, z)), Star(q), Prod((t, p)))
+            for s in shapes:
+                facts = (
+                    reference_nullable(alg, s),
+                    reference_usable(alg, s),
+                    reference_heads(alg, s),
+                )
+                assert alg.facts(s) == facts, s
+                assert (alg.nullable(s), alg.usable(s), alg.heads(s)) == facts, s
+                seen.add(facts[:2])
+                heads = sorted(facts[2], key=sort_key)[:2]
+                for a in ("A", "B", "M", *heads):
+                    d = reference_derivative(alg, s, a)
+                    assert alg.derivative(s, a) is d, (s, a)
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_doubling_table_derives_in_linear_time(self):
+        # #T0 = A, #Ti+1 = #Ti . #Ti: each level shares one subterm, which
+        # plain recursion derives 2^i times.
+        table = doubling_table(24)
+        start = time.perf_counter()
+        d = TypeAlgebra(table).derivative(Ref("#T24"), "A")
+        assert time.perf_counter() - start < 0.5
+        assert d is Prod(tuple(Ref(f"#T{i}") for i in range(24)))
+
+
+def doubling_table(levels):
+    decls = [("#T0", A)]
+    for i in range(levels):
+        decls.append((f"#T{i + 1}", Prod((Ref(f"#T{i}"), Ref(f"#T{i}")))))
+    return resolve_types(decls)
 
 
 class TestEnumerate:

@@ -13,7 +13,8 @@ Two properties are established together:
   configuration that still owes messages).
 
 Each scope (the program, a rule body, a branch of an `if`) fills one usage
-environment (name -> type) in place: every send multiplies its uses into it.
+environment (name -> uses) in place: every send appends its uses to it, and a
+name's usage, the product of its uses, is built once when its scope closes.
 Each process returns its dependency relation.  Problems are reported as
 diagnostics rather than exceptions so one run surfaces as many issues as
 possible.
@@ -135,12 +136,7 @@ class Report:
         }
 
 
-Env = dict[Name, TypeExpr]
-
-
-def use(env: Env, name: Name, t: TypeExpr):
-    """Record a use of name at t in env, after its earlier uses."""
-    env[name] = ty.Prod((env[name], t)) if name in env else t
+Env = dict[Name, list[TypeExpr]]
 
 
 def closure_decl(base: TypeExpr, captured: tuple[TypeExpr, ...]) -> TypeExpr:
@@ -347,13 +343,13 @@ class Checker:
                     )
                     ok = False
                     continue
-                use(env, arg.name, expected)
+                env.setdefault(arg.name, []).append(expected)
                 obj_args.append(arg.name)
         if not ok:
             return EMPTY_DEPS
 
         if target not in self.stateless:
-            use(env, target, ty.Prod(usage_parts))
+            env.setdefault(target, []).append(ty.Prod(usage_parts))
 
         # Dependency bookkeeping: sending makes the target wait on the
         # argument objects, and ties the arguments to one another.
@@ -403,8 +399,8 @@ class Checker:
             # Names in first-seen order, so diagnostics that walk env come
             # out alike under every hash seed.
             for name in env1 | env2:
-                both = (env1.get(name, ty.ONE), env2.get(name, ty.ONE))
-                use(env, name, ty.Sum(both))
+                both = (ty.Prod(env1.get(name, ())), ty.Prod(env2.get(name, ())))
+                env.setdefault(name, []).append(ty.Sum(both))
             # The branches are mutually exclusive, so their dependency
             # relations are overlaid rather than conjoined.
             return merge(d1, d2)
@@ -440,11 +436,12 @@ class Checker:
 
         deps = self.check_process(p.body, env)
         self.check_obligation(p.name, decl, env, p.pos)
-        env.pop(p.name, None)
         return deps.restrict(p.name)
 
     def check_obligation(self, name: Name, decl: TypeExpr, env: Env, pos: Pos):
-        usage = env.get(name, ty.ONE)
+        """Close name's scope: take its uses out of env, and check that their
+        product meets the obligations of decl."""
+        usage = ty.Prod(env.pop(name, ()))
         if name in self.stateless:
             return
         if usage == ty.ONE and not self.alg.nullable(decl):
@@ -517,8 +514,7 @@ class Checker:
         obj after the rule fires that decl still permits."""
         for param in params:
             self.check_obligation(param, self.decls[param], env, pos)
-            env.pop(param, None)
-        s0 = env.pop(obj, ty.ONE)
+        s0 = ty.Prod(env.pop(obj, ()))
         for name in env:
             if name not in self.stateless:
                 self.diag(
@@ -608,9 +604,8 @@ class Checker:
         for param in closure_params:
             if _is_value_type(self.decls[param]):
                 captured_usage.append(self.decls[param])
-                env.pop(param, None)
             else:
-                captured_usage.append(env.pop(param, ty.ONE))
+                captured_usage.append(ty.Prod(env.pop(param, ())))
         decl = closure_decl(base, tuple(captured_usage))
         self.decls[p.name] = decl
         what = f"continuation {p.name}"

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from joinstate import semilinear
+from joinstate import semilinear, types
 from joinstate.checker import check_program
 from joinstate.core import If, NewObj, Par
 from joinstate.desugar import load_program
@@ -222,6 +222,42 @@ class TestProtocolViolations:
             " of *Get(Reply(#Number))"
         ]
 
+    def test_closure_sent_to_a_rejected_continuation(self):
+        # A's slot takes no continuation, so `cont` is never declared; the
+        # CLOSURE message carrying p, which the body captures, still goes
+        # to it.
+        report = check_source(
+            "new p : *P [ P |> done ] in\n"
+            "new o : *A [ A |> done ] in\n"
+            "let x = o.A in p!P"
+        )
+        assert [str(d) for d in report.diagnostics] == [
+            "3:1: AritySumError: A of *A has no continuation argument",
+            "3:1: ProtocolViolation: unknown object cont#4",
+            "3:1: AritySumError: send to o#2: A takes 0 argument(s), got 1",
+        ]
+
+    def test_continuation_captures_a_rejected_block(self):
+        # A's first slot takes no continuation, so the anonymous block is
+        # never declared; the continuation of the later call f.Get is
+        # installed around the whole send and captures that block.
+        report = check_source(
+            "type #F = *Get(Reply(#Number))\n"
+            "new f : #F [ Get(r) |> r!Reply(1) ] in\n"
+            "new o : A(#Number, #Number) [ A(m, n) |> done ] in\n"
+            "o!A([ Reply(v) |> done ], f.Get)"
+        )
+        assert [str(d) for d in report.diagnostics] == [
+            "3:1: ProtocolViolation: state of o#3 after rule A: 1 does not"
+            " refine A(#Number, #Number) (configuration not covered: empty)",
+            "4:5: UnusableArg: A of A(#Number, #Number) does not accept a"
+            " continuation there (argument type #Number)",
+            "4:27: ProtocolViolation: unknown object anon#6",
+            "4:1: ProtocolViolation: send to o#10: A expects a #Number argument",
+            "3:1: ObligationUnmet: o#3 is never sent the messages"
+            " A(#Number, #Number) requires",
+        ]
+
     def test_reply_pattern_binds_too_many_names(self):
         report = check_source(
             "type #F = *Get(Reply(#Number))\n"
@@ -271,6 +307,36 @@ class TestProtocolViolations:
             " new b : C [ C |> a!A ] in b!C & a!B(b)"
         )
         assert "ProtocolViolation" in report.codes()
+
+
+class TestScale:
+    @staticmethod
+    def hub(n):
+        """A hub that receives one object from each of n parallel senders."""
+        senders = " & ".join(
+            f"(new u{i} : #U [ Ping |> done ] in hub!Reg(u{i}))" for i in range(n)
+        )
+        return f"type #U = *Ping\nnew hub : *Reg(#U) [ Reg(u) |> done ] in {senders}"
+
+    def test_usage_products_grow_linearly_in_the_uses_of_one_name(
+        self, monkeypatch
+    ):
+        # The hub's usage is one product of n Reg parts; building it use by
+        # use makes products of n²/2 parts in all.
+        parts = []
+        new = types.Prod.__new__
+
+        def counted(cls, ps):
+            t = new(cls, ps)
+            if isinstance(t, types.Prod):
+                parts[-1] += len(t.parts)
+            return t
+
+        monkeypatch.setattr(types.Prod, "__new__", counted)
+        for n in (400, 800):
+            parts.append(0)
+            assert check_source(self.hub(n)).verdict == "accepted"
+        assert parts[1] <= 2.2 * parts[0], parts
 
 
 class TestBoundedUses:

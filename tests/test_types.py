@@ -167,6 +167,13 @@ class TestNullableUsable:
         assert alg.usable(Sum((A, ZERO)))
         assert alg.usable(NUMBER)
 
+    def test_unknown_name_is_a_declaration_error(self):
+        # Callers outside the checker may hand the algebra a table that does
+        # not name every reference.
+        with pytest.raises(TypeDeclError) as err:
+            TypeAlgebra({}).nullable(Ref("#Nope"))
+        assert str(err.value) == "unknown type name #Nope"
+
 
 class TestDerivative:
     def test_matching_tag(self):

@@ -18,23 +18,24 @@ One containment test serves the whole module: (b, P) lies in (a, Q) when
 P is among Q and b - a is a sum of Q's periods (`_lies_in`, by a memoized
 cone walk, `_in_cone`).  With P empty that is exact membership of b.
 
-Each `_subtype` call keeps one table of candidate slots, row i the slots
-whose arguments fit slot i's, filled on first use (`SubtypeEngine._fits`):
-the fast path takes its slot maps from it and the bounded check its
-transports.
+Each `_subtype` call past its early exits is one `_Query`, which keeps a
+table of candidate slots, row i the slots whose arguments fit slot i's,
+filled on first use (`_Query.fits`): the fast path takes its slot maps
+from it and the bounded check its transports.
 
-The fast path embeds a whole supertype component (b, P) into one subtype
-component through a slot map that sends each slot to a candidate: the
-identity first, then each other map, applied once to b and P.  A target
-takes the image when it contains it by `_lies_in`.  The sums reachable
-from each period set are memoized on the engine and live as long as it.
+The fast path (`_Query.embeds`) embeds a whole supertype component (b, P)
+into one subtype component through a slot map that sends each slot to a
+candidate: the identity first, then each other map, applied once to b and
+P.  A target takes the image when it contains it by `_lies_in`.  The sums
+reachable from each period set are memoized on the engine and live as
+long as it.
 
-Each bounded check is a membership question.  A vector v matches when it,
-or another split w of its tag counts over the slots of a tag, lies in some
-subtype component and v's messages can move onto w's slots, each to a
-candidate (`_Matcher`): by the supply-demand theorem (Gale 1957), when no
-set of v's slots holds more messages than w has on the slots they may use
-(`_transport_exists`).  Memberships share the fast path's cone memo.
+Each bounded check (`_Query.missing`) is a membership question.  A vector
+v matches when it, or another split w of its tag counts over the slots of
+a tag, lies in some subtype component and v's messages can move onto w's
+slots, each to a candidate: by the supply-demand theorem (Gale 1957), when
+no set of v's slots holds more messages than w has on the slots they may
+use (`_transport_exists`).  Memberships share the fast path's cone memo.
 
 Sums, products and stars prune components as they build them (`_prune`):
 a component goes when another contains it by the same test.  There the
@@ -57,6 +58,7 @@ as the images are.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -374,9 +376,10 @@ def _transport_exists(
 class SubtypeEngine:
     """Decides `t <= s` with coinductive memoization and a bounded fallback.
 
-    One engine instance owns its verdict cache and the fast path's cone
-    memo; share an instance to amortize them.  Parikh images are memoized
-    on the algebra.
+    An engine keeps what outlives one question: its verdict cache, the
+    questions in progress, and the cone memo of `_lies_in`; share an
+    instance to amortize them.  Each `_subtype` call's own state is one
+    `_Query`.  Parikh images are memoized on the algebra.
     """
 
     def __init__(self, alg: TypeAlgebra, bound: int = 4):
@@ -384,10 +387,7 @@ class SubtypeEngine:
         self.bound = bound
         self._cache: dict[tuple[TypeExpr, TypeExpr], Verdict] = {}
         self._in_progress: set[tuple[TypeExpr, TypeExpr]] = set()
-        # Set when an argument check of the current `_subtype` call answered
-        # yes-bounded, so that the call cannot answer an exact yes.
-        self._args_bounded = False
-        self._cones: dict = {}  # `_lies_in`'s memo for the fast path
+        self._cones: dict = {}  # `_lies_in`'s memo for embedding and membership
 
     def subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         key = (t, s)
@@ -397,14 +397,10 @@ class SubtypeEngine:
             return YES  # coinductive assumption
         outermost = not self._in_progress
         self._in_progress.add(key)
-        outer_bounded, self._args_bounded = self._args_bounded, False
         try:
             verdict = self._subtype(t, s)
-            if verdict.kind == "yes" and self._args_bounded:
-                verdict = Verdict("yes-bounded", bound=self.bound)
         finally:
             self._in_progress.discard(key)
-            self._args_bounded = outer_bounded
         # Positive verdicts reached under pending assumptions are provisional;
         # only negative ones are stable enough to keep in that case.
         if outermost or not verdict.holds:
@@ -423,19 +419,6 @@ class SubtypeEngine:
                 return v
         return YES
 
-    def _args_ok(self, sup: Msg, sub: Msg) -> bool:
-        # Matching a supertype-side message against a subtype-side one:
-        # arguments are contravariant.
-        if sup.tag != sub.tag or len(sup.args) != len(sub.args):
-            return False
-        for a, b in zip(sup.args, sub.args):
-            verdict = self.subtype(a, b)
-            if not verdict.holds:
-                return False
-            if verdict.kind == "yes-bounded":
-                self._args_bounded = True
-        return True
-
     def _subtype(self, t: TypeExpr, s: TypeExpr) -> Verdict:
         alg = self.alg
         if t == s:
@@ -443,77 +426,20 @@ class SubtypeEngine:
         if alg.nullable(s) and not alg.nullable(t):
             return Verdict("no", counterexample=())
         alphabet = joint_alphabet(alg, t, s)
-        t_comps = parikh(alg, t, alphabet)
-        s_comps = parikh(alg, s, alphabet)
-        matcher: _Matcher | None = None
-        # Each slot's candidate list, filled on first use and shared by the
-        # supertype components and the matcher.
-        candidates: list[list[int] | None] = [None] * len(alphabet)
-        # A component without periods is one vector, which the matcher
-        # checks exhaustively; only periods leave vectors past the bound.
+        query = _Query(self, parikh(alg, t, alphabet), alphabet)
+        # A component without periods is one vector, which `missing` checks
+        # exhaustively; only periods leave vectors past the bound.
         bounded = False
-        for comp in s_comps:
-            if self._fast_include(comp, t_comps, alphabet, candidates):
+        for comp in parikh(alg, s, alphabet):
+            if query.embeds(comp):
                 continue
-            if matcher is None:
-                matcher = _Matcher(self, t_comps, alphabet, candidates)
-            missing = matcher.missing(comp)
+            missing = query.missing(comp)
             if missing is not None:
                 return Verdict("no", counterexample=missing)
             bounded = bounded or any(any(p) for p in comp.periods)
-        return Verdict("yes-bounded", bound=self.bound) if bounded else YES
-
-    def _fast_include(
-        self,
-        comp: LinearSet,
-        t_comps: list[LinearSet],
-        alphabet: Alphabet,
-        candidates: list[list[int] | None],
-    ) -> bool:
-        """Try to embed a whole supertype component into one subtype component
-        through a single slot-to-slot map, each slot sent to a candidate."""
-        n = len(alphabet)
-        used = [i for i, col in enumerate(zip(comp.base, *comp.periods)) if any(col)]
-        if not used:
-            # Only the zero vector; nullability was already checked.
-            return True
-        lists = [self._fits(i, alphabet, candidates) for i in used]
-        if math.prod(map(len, lists)) > 256:
-            return False
-
-        def embeds(base: Vector, periods: frozenset[Vector]) -> bool:
-            return any(_lies_in(base, periods, c, self._cones) for c in t_comps)
-
-        periods = [p for p in comp.periods if any(p)]
-        # The identity first, without remapping: most often the only map.
-        if embeds(comp.base, frozenset(periods)):
-            return True
-        identity = tuple(used)
-        for sigma in itertools.product(*lists):
-            if sigma == identity:
-                continue
-            mapped = []
-            for v in [comp.base, *periods]:
-                out = [0] * n
-                for i, j in zip(used, sigma):
-                    out[j] += v[i]
-                mapped.append(tuple(out))
-            if embeds(mapped[0], frozenset(mapped[1:])):
-                return True
-        return False
-
-    def _fits(
-        self, i: int, alphabet: Alphabet, candidates: list[list[int] | None]
-    ) -> list[int]:
-        """candidates[i], the slots whose arguments fit slot i's, filled on
-        first use; never empty, as a slot fits itself."""
-        row = candidates[i]
-        if row is None:
-            sup = alphabet[i]
-            row = candidates[i] = [
-                j for j, sub in enumerate(alphabet) if self._args_ok(sup, sub)
-            ]
-        return row
+        if bounded or query.args_bounded:
+            return Verdict("yes-bounded", bound=self.bound)
+        return YES
 
 
 def _bounded_coeffs(n: int, total: int) -> Iterable[tuple[int, ...]]:
@@ -525,30 +451,87 @@ def _bounded_coeffs(n: int, total: int) -> Iterable[tuple[int, ...]]:
             yield (head,) + rest
 
 
-class _Matcher:
-    """Whether a supertype-side vector is matched by some vector of the
-    subtype's components, for one `_subtype` call.
+class _Query:
+    """Whether the subtype's components (t_comps) cover each supertype
+    component of one `_subtype` call, over its alphabet.
 
-    A match w has v's count for every tag and lies in the subtype's Parikh
-    image; a transport of v's messages onto w's slots along the call's
-    candidate slots must exist.  Membership is `_lies_in` with no periods,
+    A supertype component is covered when it embeds whole into one subtype
+    component (`embeds`), or when each of its vectors up to the engine's
+    bound is matched (`missing`): some w with v's count for every tag lies
+    in the subtype's Parikh image, and v's messages can move onto w's slots,
+    each to a candidate (`fits`).  Membership is `_lies_in` with no periods,
     through the engine's cone memo; answers are memoized per vector."""
 
     def __init__(
-        self,
-        engine: SubtypeEngine,
-        t_comps: list[LinearSet],
-        alphabet: Alphabet,
-        candidates: list[list[int] | None],
+        self, engine: SubtypeEngine, t_comps: list[LinearSet], alphabet: Alphabet
     ):
         self.engine = engine
         self.t_comps = t_comps
         self.alphabet = alphabet
-        self.candidates = candidates
-        # A tag with one slot can split its count only as v does, and a slot
-        # always fits itself, so only tags with several slots need transport.
-        self.split_tags = [s for s in _tag_slots(alphabet).values() if len(s) > 1]
+        # Row i: the slots whose arguments fit slot i's, filled by `fits`.
+        self.candidates: list[list[int] | None] = [None] * len(alphabet)
         self.memo: dict[Vector, bool] = {}
+        # Set when an argument check answered yes-bounded, so that the
+        # call cannot answer an exact yes.
+        self.args_bounded = False
+
+    def fits(self, i: int) -> list[int]:
+        """The slots whose arguments fit slot i's, filled on first use;
+        never empty, as a slot fits itself."""
+        row = self.candidates[i]
+        if row is None:
+            sup = self.alphabet[i]
+            row = self.candidates[i] = [
+                j for j, sub in enumerate(self.alphabet) if self.args_ok(sup, sub)
+            ]
+        return row
+
+    def args_ok(self, sup: Msg, sub: Msg) -> bool:
+        # Matching a supertype-side message against a subtype-side one:
+        # arguments are contravariant.
+        if sup.tag != sub.tag or len(sup.args) != len(sub.args):
+            return False
+        for a, b in zip(sup.args, sub.args):
+            verdict = self.engine.subtype(a, b)
+            if not verdict.holds:
+                return False
+            if verdict.kind == "yes-bounded":
+                self.args_bounded = True
+        return True
+
+    def embeds(self, comp: LinearSet) -> bool:
+        """Whether comp embeds whole into one subtype component through a
+        single slot-to-slot map, each slot sent to a candidate."""
+        n = len(self.alphabet)
+        used = [i for i, col in enumerate(zip(comp.base, *comp.periods)) if any(col)]
+        if not used:
+            # Only the zero vector; nullability was already checked.
+            return True
+        lists = [self.fits(i) for i in used]
+        if math.prod(map(len, lists)) > 256:
+            return False
+        cones = self.engine._cones
+
+        def lies(base: Vector, periods: frozenset[Vector]) -> bool:
+            return any(_lies_in(base, periods, c, cones) for c in self.t_comps)
+
+        periods = [p for p in comp.periods if any(p)]
+        # The identity first, without remapping: most often the only map.
+        if lies(comp.base, frozenset(periods)):
+            return True
+        identity = tuple(used)
+        for sigma in itertools.product(*lists):
+            if sigma == identity:
+                continue
+            mapped = []
+            for v in [comp.base, *periods]:
+                out = [0] * n
+                for i, j in zip(used, sigma):
+                    out[j] += v[i]
+                mapped.append(tuple(out))
+            if lies(mapped[0], frozenset(mapped[1:])):
+                return True
+        return False
 
     def missing(self, comp: LinearSet) -> Config | None:
         """A configuration of comp with at most `bound` periods added that
@@ -585,12 +568,19 @@ class _Matcher:
         for slots in self.split_tags:
             sup = [i for i in slots if v[i]]
             sub = [j for j in slots if w[j]]
-            rows = [self.engine._fits(i, self.alphabet, self.candidates) for i in sup]
+            rows = [self.fits(i) for i in sup]
             allowed = [[j in row for j in sub] for row in rows]
             supply = [v[i] for i in sup]
             if not _transport_exists(supply, [w[j] for j in sub], allowed):
                 return False
         return True
+
+    @functools.cached_property
+    def split_tags(self) -> list[list[int]]:
+        """The slots of each tag with several.  A tag with one slot can split
+        its count only as v does, and a slot always fits itself, so only
+        these need transport.  Built on first use: few calls get here."""
+        return [s for s in _tag_slots(self.alphabet).values() if len(s) > 1]
 
     def _splits(self, v: Vector) -> Iterable[Vector]:
         """Every vector with v's count for each tag."""

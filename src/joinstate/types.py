@@ -13,8 +13,10 @@ concurrently targeted at an object:
 Terms are canonical when built.  Each constructor flattens, sorts and applies
 the unit and absorption laws, then interns the result (hash-consing,
 Filliatre & Conchon 2006), so equal types are one object: `==` and `hash`
-go by identity, and every memo keyed on a type is sound.  `normalize` is the
-identity, kept for outside callers.
+go by identity, and every memo keyed on a type is sound.  A product drops
+its value parts (#Number, #Bool) when it has another part, and otherwise
+keeps each distinct one once, so grouping does not change its form.
+`normalize` is the identity, kept for outside callers.
 
 Recursion goes through a table of named definitions; reference cycles are
 only allowed through message-argument positions (contractiveness), so every
@@ -148,8 +150,8 @@ class Prod(TypeExpr):
                 flat.extend(p.parts)
             elif not isinstance(p, One):
                 flat.append(p)
-        if len(flat) > 1:
-            flat = [p for p in flat if not isinstance(p, Base)]
+        # Value parts go beside any other part; alone, each stays once.
+        flat = [p for p in flat if not isinstance(p, Base)] or list(set(flat))
         if not flat:
             return ONE
         if len(flat) == 1:

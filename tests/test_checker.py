@@ -179,6 +179,13 @@ class TestProtocolViolations:
         report = check_source("new obj : A(#Number) [ A(x) |> done ] in obj!A(obj)")
         assert "ProtocolViolation" in report.codes()
 
+    def test_product_of_one_value_type_is_a_value_slot(self):
+        # #Number . #Number is #Number, not 1, so M takes a number.
+        report = check_source(
+            "new o : *M(#Number . #Number) [ M(n) |> System!Print(n) ] in o!M(42)"
+        )
+        assert report.verdict == "accepted", report.codes()
+
     def test_arity_mismatch(self):
         report = check_source("new obj : A(#Number) [ A(x) |> done ] in obj!A")
         assert "AritySumError" in report.codes()

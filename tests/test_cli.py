@@ -581,6 +581,18 @@ class TestExplain:
         ]
 
     @pytest.mark.parametrize(
+        "expr,form",
+        [("#Number . #Number", "#Number"),
+         ("(#Number . #Number) . #Number", "#Number"),
+         ("#Bool . #Number", "#Bool . #Number"),
+         ("M(#Number . #Number)", "M(#Number)")],
+    )
+    def test_value_products_do_not_depend_on_grouping(self, capsys, expr, form):
+        # M's slot stays a value slot: its product is not collapsed to 1.
+        assert main(["explain", "--type", expr]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"normal form: {form}"
+
+    @pytest.mark.parametrize(
         "expr,message",
         [("A +", "1:4: expected a type, found ''"),
          ("#Foo", "1:1: unknown type name #Foo"),

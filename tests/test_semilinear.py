@@ -28,7 +28,7 @@ from joinstate.semilinear import (
     LinearSet,
     SubtypeEngine,
     _bounded_coeffs,
-    _Matcher,
+    _Query,
     _prune,
     _add,
     _slot_bounds,
@@ -319,10 +319,9 @@ class TestMembershipTable:
         n = rng.randint(1, 3)
         comps = [random_linear_set(rng, n) for _ in range(rng.randint(1, 4))]
         hi = [rng.randint(0, 5) for _ in range(n)]
-        engine = SubtypeEngine(TypeAlgebra())
-        matcher = _Matcher(engine, comps, (A, B, C)[:n], [None] * n)
+        query = _Query(SubtypeEngine(TypeAlgebra()), comps, (A, B, C)[:n])
         for v in itertools.product(*(range(h + 1) for h in hi)):
-            assert matcher.matches(v) == member(v, comps), (comps, hi, v)
+            assert query.matches(v) == member(v, comps), (comps, hi, v)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matcher_agrees_with_brute_force(self, seed):
@@ -342,7 +341,7 @@ class TestMembershipTable:
         rng = random.Random(seed)
         t_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 3))]
         s_comps = [random_linear_set(rng, 4) for _ in range(rng.randint(1, 2))]
-        matcher = _Matcher(engine, t_comps, alphabet, [None] * 4)
+        query = _Query(engine, t_comps, alphabet)
         for v in candidates(s_comps, engine.bound):
             counts = {tag: 0 for tag in tag_of}
             for x, tag in zip(v, tag_of):
@@ -359,7 +358,7 @@ class TestMembershipTable:
                 member(w, t_comps) and config_le(alg, config(v), config(w))
                 for w in same_tags
             )
-            assert matcher.matches(v) == expect, (t_comps, v)
+            assert query.matches(v) == expect, (t_comps, v)
 
     def test_transport_decides(self):
         a, b = msg("A"), msg("B")
@@ -425,19 +424,34 @@ class TestMembershipTable:
 def reference_fast_include(engine, comp, t_comps, alphabet):
     """The fast path as first written: candidate lists afresh on every call,
     every map's vectors remapped per target, and a fresh `_linear_member`
-    search per (map, target)."""
+    search per (map, target).  Returns the answer and whether an argument
+    check on the way answered yes-bounded (arguments are contravariant, and
+    a check stops at its first failing argument)."""
     n = len(alphabet)
+    bounded = False
+
+    def args_ok(sup, sub):
+        nonlocal bounded
+        if sup.tag != sub.tag or len(sup.args) != len(sub.args):
+            return False
+        for a, b in zip(sup.args, sub.args):
+            verdict = engine.subtype(a, b)
+            if not verdict.holds:
+                return False
+            bounded = bounded or verdict.kind == "yes-bounded"
+        return True
+
     used = [
         i
         for i in range(n)
         if comp.base[i] or any(p[i] for p in comp.periods)
     ]
     candidates = [
-        [j for j in range(n) if engine._args_ok(alphabet[i], alphabet[j])]
+        [j for j in range(n) if args_ok(alphabet[i], alphabet[j])]
         for i in used
     ]
     if not used:
-        return True
+        return True, bounded
 
     def remap(v, sigma):
         out = [0] * n
@@ -449,7 +463,7 @@ def reference_fast_include(engine, comp, t_comps, alphabet):
     for c in candidates:
         total *= len(c)
         if total > 256:
-            return False
+            return False, bounded
     for sigma in itertools.product(*candidates):
         for target in t_comps:
             if not all(
@@ -459,12 +473,12 @@ def reference_fast_include(engine, comp, t_comps, alphabet):
             if _linear_member(
                 remap(comp.base, sigma), target.base, sorted(target.periods)
             ):
-                return True
-    return False
+                return True, bounded
+    return False, bounded
 
 
 # X <= Y holds only up to the bound, so matching M(X) against M(Y) sets the
-# engine's yes-bounded flag.
+# query's yes-bounded flag.
 X = Sum((Star(Prod((A, A))), Prod((A, Star(Prod((A, A)))))))
 Y = Star(A)
 FAST_ALPHABETS = (
@@ -512,9 +526,10 @@ class TestFastInclude:
         alphabet = rng.choice(FAST_ALPHABETS)
         n = len(alphabet)
         reference = SubtypeEngine(TypeAlgebra())
-        engine = SubtypeEngine(TypeAlgebra())
-        # One list per `_subtype` call, shared by its components.
-        shared = [None] * n
+        # One table per `_subtype` call, shared by its components; only the
+        # subtype side changes between them here.
+        query = _Query(SubtypeEngine(TypeAlgebra()), [], alphabet)
+        reference_bounded = False
         for _ in range(6):
             comp = random_linear_set(rng, n)
             t_comps = [
@@ -523,10 +538,14 @@ class TestFastInclude:
                 else random_linear_set(rng, n)
                 for _ in range(rng.randint(1, 3))
             ]
-            expect = reference_fast_include(reference, comp, t_comps, alphabet)
-            got = engine._fast_include(comp, t_comps, alphabet, shared)
+            expect, bounded = reference_fast_include(
+                reference, comp, t_comps, alphabet
+            )
+            reference_bounded = reference_bounded or bounded
+            query.t_comps = t_comps
+            got = query.embeds(comp)
             assert got == expect, (alphabet, comp, t_comps)
-            assert engine._args_bounded == reference._args_bounded
+            assert query.args_bounded == reference_bounded
 
     # Nine tags, each with a wide and a narrow argument variant: a wide slot
     # fits both, so a supertype component over the nine wide slots has
@@ -548,12 +567,11 @@ class TestFastInclude:
         alg = TypeAlgebra()
         engine = SubtypeEngine(alg)
         alphabet = joint_alphabet(alg, sub, sup)
-        candidates = [None] * len(alphabet)
-        t_comps = parikh(alg, sub, alphabet)
+        query = _Query(engine, parikh(alg, sub, alphabet), alphabet)
         comp = parikh(alg, sup, alphabet)[0]
-        assert not engine._fast_include(comp, t_comps, alphabet, candidates)
+        assert not query.embeds(comp)
         used = [i for i, n in enumerate(comp.base) if n]
-        assert math.prod(len(candidates[i]) for i in used) == 512
+        assert math.prod(len(query.candidates[i]) for i in used) == 512
         verdict = engine.subtype(sub, sup)
         assert verdict.holds == oracle_subtype(alg, sub, sup, size=9)
 
@@ -566,16 +584,16 @@ class TestFastInclude:
         for alphabet in [(A, B), (A, B, C), (A, B), (A, B, C)]:
             n = len(alphabet)
             here = LinearSet((1,) + (0,) * (n - 1), frozenset())
-            assert engine._fast_include(here, [here], alphabet, [None] * n)
+            assert _Query(engine, [here], alphabet).embeds(here)
             for _ in range(40):
                 comp, *t_comps = [
                     LinearSet(tuple(rng.randint(0, 2) for _ in range(n)), frozenset())
                     for _ in range(rng.randint(2, 4))
                 ]
-                expect = reference_fast_include(
+                expect, _ = reference_fast_include(
                     SubtypeEngine(TypeAlgebra()), comp, t_comps, alphabet
                 )
-                got = engine._fast_include(comp, t_comps, alphabet, [None] * n)
+                got = _Query(engine, t_comps, alphabet).embeds(comp)
                 assert got == expect, (comp, t_comps)
 
 
@@ -797,13 +815,13 @@ class TestTransportEndToEnd:
 
     def test_agrees_with_oracle(self, monkeypatch):
         outcomes = []
-        transport_ok = _Matcher._transport_ok
+        transport_ok = _Query._transport_ok
 
-        def counted(matcher, v, w):
-            outcomes.append(transport_ok(matcher, v, w))
+        def counted(query, v, w):
+            outcomes.append(transport_ok(query, v, w))
             return outcomes[-1]
 
-        monkeypatch.setattr(_Matcher, "_transport_ok", counted)
+        monkeypatch.setattr(_Query, "_transport_ok", counted)
         alg = TypeAlgebra()
         for seed in range(3):
             rng = random.Random(seed)
@@ -816,6 +834,36 @@ class TestTransportEndToEnd:
                 elif verdict.kind == "no":
                     assert_uncovered(alg, t, s, verdict.counterexample)
         assert set(outcomes) == {True, False}
+
+    def test_split_tags_wait_for_the_bounded_check(self, monkeypatch):
+        # Most calls are decided by the fast path, which needs no split tags.
+        calls = []
+        tag_slots = semilinear._tag_slots
+
+        def counted(alphabet):
+            calls.append(alphabet)
+            return tag_slots(alphabet)
+
+        monkeypatch.setattr(semilinear, "_tag_slots", counted)
+        missing = []
+        query_missing = _Query.missing
+
+        def spied(query, comp):
+            missing.append(comp)
+            return query_missing(query, comp)
+
+        monkeypatch.setattr(_Query, "missing", spied)
+        wide = msg("M", Sum((A, B)))
+        narrow = Prod((msg("M", A), msg("M", B)))
+        # The last embeds M(A + B) by sending it to M(A), not by the identity.
+        for t, s in [(Star(A), Prod((A, A))), (Sum((A, B)), A),
+                     (msg("M", A), wide)]:
+            assert SubtypeEngine(TypeAlgebra()).subtype(t, s).kind == "yes"
+        assert missing == [] and calls == []
+        # Each M(A + B) goes to a different slot: only transport matches.
+        verdict = SubtypeEngine(TypeAlgebra()).subtype(narrow, Prod((wide, wide)))
+        assert verdict.kind == "yes"
+        assert len(missing) == 1 and len(calls) == 1
 
 
 class TestDerivativeFacts:

@@ -96,6 +96,36 @@ class TestNormalize:
         n = normalize(t)
         assert normalize(n) == n
 
+    def test_value_parts_in_products(self):
+        # Value parts go beside any other part; alone, each stays once.
+        assert Prod((NUMBER, NUMBER)) is NUMBER
+        assert Prod((NUMBER, A, BOOL)) is A
+        both = Prod((BOOL, NUMBER))
+        assert isinstance(both, Prod) and both.parts == (BOOL, NUMBER)
+        assert Prod((NUMBER, both, BOOL)) is both
+
+    def test_products_regroup_to_one_term(self):
+        # However a product of three terms is grouped or ordered, its normal
+        # form is one object.
+        leaves = (NUMBER, BOOL, ZERO, ONE, A, B)
+
+        def term(rng, depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.4:
+                return rng.choice(leaves)
+            if roll < 0.5:
+                return Star(term(rng, depth - 1))
+            parts = tuple(term(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+            return (Prod if roll < 0.8 else Sum)(parts)
+
+        rng = random.Random(5)
+        for _ in range(3000):
+            a, b, c = (term(rng, 2) for _ in range(3))
+            flat = Prod((a, b, c))
+            assert Prod((Prod((a, b)), c)) is flat, (a, b, c)
+            assert Prod((a, Prod((b, c)))) is flat, (a, b, c)
+            assert Prod((c, b, a)) is flat, (a, b, c)
+
     def test_distributed_forms_stay_distinct(self):
         # a.b + a.c and a.(b+c) have the same configurations but distinct
         # normal forms; enumeration agrees (see TestEnumerate).
